@@ -126,9 +126,11 @@ class Cache:
     def fill(self, set_idx: int, tag: int) -> None:
         """Miss bookkeeping: count it, evict a victim, insert the line.
 
-        Split out of :meth:`access` so fused fast paths that inline the
-        hit check (see ``TimedCorePlatform``) share the exact miss-side
-        behaviour — including dirty-victim writeback accounting.
+        Split out of :meth:`access` so the batched memory template that
+        inlines the hit check (``render_mem`` in
+        :mod:`repro.machine.platform`, run by the interpreter and the
+        trace JIT alike) shares the exact miss-side behaviour — including
+        dirty-victim writeback accounting.
         """
         self.misses += 1
         ways = self._sets[set_idx]
@@ -242,9 +244,10 @@ class CacheHierarchy:
                              tag: int) -> int:
         """Continue an access whose L1 hit check the caller already did.
 
-        Fused fast paths (``TimedCorePlatform``) inline the L1 hit test;
-        on a miss they delegate here so the miss-side state evolution —
-        L1 fill, L2 lookup, DRAM/bus charging — is shared with
+        The batched memory template (``render_mem`` in
+        :mod:`repro.machine.platform`) inlines the L1 hit test; on a
+        miss it delegates here so the miss-side state evolution — L1
+        fill, L2 lookup, DRAM/bus charging — is shared with
         :meth:`access` and stays bit-identical.
         """
         self.l1.fill(set_idx, tag)

@@ -53,8 +53,9 @@ class Tlb:
     def miss(self, vpn: int) -> int:
         """Miss-side handling: count, evict the LRU entry, insert.
 
-        Split out of :meth:`access` so fused fast paths that inline the
-        hit check share the exact miss behaviour.
+        Split out of :meth:`access` so the batched memory template that
+        inlines the hit check (``render_mem`` in
+        :mod:`repro.machine.platform`) shares the exact miss behaviour.
         """
         self.misses += 1
         if len(self._entries) >= self.config.entries:

@@ -31,13 +31,22 @@ addition is associative and nothing observes the clock mid-batch; only
 the *number* of ledger charge events changes (one per flush instead of
 one per instruction).  Set ``REPRO_NO_BATCH=1`` to fall back to the
 immediate-advance path for differential testing.
+
+The batched memory path exists once, as a source template
+(``render_mem``): the interpreter's ``mem_access``/``fetch_access`` is the
+function compiled from it, and the trace JIT inlines the same lines into
+compiled blocks, so both tiers execute the same rendered source.  The
+unbatched ``TimedCorePlatform.mem_access`` is the only other copy — the
+hand-written oracle the template is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import TYPE_CHECKING
 
+from repro.hw.cache import ReplacementPolicy
 from repro.hw.cpu import CostClass
 from repro.obs.ledger import Source
 from repro.vm.heap import GuestThrow
@@ -60,6 +69,16 @@ _ACC_SOURCES = (Source.INSTRUCTION, Source.CACHE, Source.TLB, Source.BUS,
 def batching_enabled() -> bool:
     """Whether new platforms use the batched charging fast path."""
     return os.environ.get("REPRO_NO_BATCH", "") != "1"
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_mem(source: str):
+    """Code object of a rendered batched ``mem_access``.
+
+    The source is a pure function of the machine's constants, so every
+    machine of a configuration shares one compile.
+    """
+    return compile(source, "<mem_access>", "exec")
 
 
 class TimedCorePlatform(Platform):
@@ -110,6 +129,7 @@ class TimedCorePlatform(Platform):
         self.batching = batching_enabled()
         self._acc = [0, 0, 0, 0, 0]
         self._acc_misc: dict[str, int] = {}
+        self._mem_inline = None
         if self.batching:
             self._install_batched_paths()
 
@@ -168,13 +188,15 @@ class TimedCorePlatform(Platform):
         return list(self.cpu._cost_list)
 
     def mem_inline(self):
-        """Template for inlining the fused memory path into trace blocks.
+        """The batched memory-path template, for inlining into trace blocks.
 
-        Only available when the batched closures are installed (the
-        ``REPRO_NO_BATCH`` escape hatch also disables inlining, so the
-        unbatched reference path stays the plain closure-call form).
+        The same ``render_mem`` that generated the batched ``mem_access``
+        and ``fetch_access``, so interpreted and compiled accesses run the
+        same source.  Available for every L1 replacement policy whenever
+        batching is on; ``None`` under ``REPRO_NO_BATCH=1``, which keeps
+        the unbatched oracle in the plain method-call form.
         """
-        return getattr(self, "_mem_inline", None)
+        return self._mem_inline
 
     def flush_charges(self) -> None:
         """Drain pending batched cycles into the clock, one advance per
@@ -200,23 +222,18 @@ class TimedCorePlatform(Platform):
             misc.clear()
 
     def _install_batched_paths(self) -> None:
-        """Bind closure-based fast paths for the per-instruction hot calls.
+        """Bind fast paths for the per-instruction hot calls.
 
         Closures over local aliases beat bound methods here: the
         interpreter calls ``charge``/``mem_access``/``fetch_access``
         once or more per guest instruction, so every attribute lookup
-        removed is measurable.  The no-ledger variant does no ``Source``
-        tagging at all — one plain integer add per charge — which keeps
-        the obs-off configuration inside its <5% overhead bound.
+        removed is measurable.  ``mem_access`` is compiled from the
+        ``render_mem`` template the trace JIT inlines.  The no-ledger
+        variants do no ``Source`` tagging at all — one plain integer add
+        per charge — which keeps the obs-off configuration inside its <5%
+        overhead bound.
         """
         acc = self._acc
-        instruction_cost = self.cpu.instruction_cost
-        tlb_access = self.tlb.access
-        translate = self.space.translate
-        hierarchy_access = self.hierarchy.access
-        record_branch = self.predictor.record
-        registerized = self._registerized_base
-        bus = self.bus
 
         # The per-instruction cost computation is inlined from
         # CpuModel.instruction_cost: at one call per guest instruction,
@@ -305,214 +322,105 @@ class TimedCorePlatform(Platform):
             cpu._frac = frac
             acc[_ACC_INSTR] += total
 
-        # Preconditions for the fused memory path, which inlines the TLB
-        # hit, the page-table lookup, and the L1 hit directly into one
-        # closure: LRU L1 (the inline hit does an LRU move) and the
-        # platform's fixed 4 KiB page geometry.  Anything else falls back
-        # to the generic component-call closures below.
+        # The memory-path template (see the module docstring): it inlines
+        # the TLB hit, the page-table lookup, and the L1 hit, and
+        # delegates the miss sides to ``Tlb.miss``/``access_after_l1_miss``
+        # — the component code the unbatched oracle calls.  The page
+        # geometry is ``Machine``'s fixed 4 KiB ``PAGE_SIZE``.
         l1 = self.hierarchy.l1
-        tlb = self.tlb
-        from repro.hw.cache import ReplacementPolicy
-        fused_ok = (l1.config.policy is ReplacementPolicy.LRU
-                    and self.space._page_shift == _PAGE_SHIFT)
-        tlb_entries = tlb._entries
-        tlb_miss = tlb.miss
-        page_table = self.space._page_table
-        l1_sets = l1._sets
+        ledger = self._ledger is not None
+        lru = l1.config.policy is ReplacementPolicy.LRU
         l1_shift = l1._line_shift
         l1_nsets = l1._num_sets
         l1_hit_cycles = l1.config.hit_cycles
-        l1_miss_path = self.hierarchy.access_after_l1_miss
-        _page_mask = (1 << _PAGE_SHIFT) - 1
+        registerized = self._registerized_base
+        inline_ns = {
+            "_tlbO": self.tlb, "_tlbE": self.tlb._entries,
+            "_tlbM": self.tlb.miss,
+            "_ptg": self.space._page_table.get, "_xl": self.space.translate,
+            "_l1S": l1._sets, "_l1O": l1,
+            "_l1M": self.hierarchy.access_after_l1_miss,
+            "_l1wb": l1.take_writeback_cost,
+            "_acc": acc, "_busO": self.bus,
+        }
 
-        if self._ledger is None:
-            # No attribution wanted: everything lands in one slot (the
-            # flush tag is ignored without a ledger), so the hot path is
-            # a plain integer add.
-            if fused_ok:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    vpn = vaddr >> _PAGE_SHIFT
-                    if vpn in tlb_entries:
-                        tlb.hits += 1
-                        del tlb_entries[vpn]
-                        tlb_entries[vpn] = True
-                        cost = 0
-                    else:
-                        cost = tlb_miss(vpn)
-                    pfn = page_table.get(vpn)
-                    if pfn is None:
-                        paddr = translate(vaddr)
-                    else:
-                        paddr = (pfn << _PAGE_SHIFT) | (vaddr & _page_mask)
-                    line = paddr >> l1_shift
-                    ways = l1_sets[line % l1_nsets]
-                    tag = line // l1_nsets
-                    if tag in ways:
-                        l1.hits += 1
-                        del ways[tag]
-                        ways[tag] = True
-                        cost += l1_hit_cycles
-                        if l1._pending_writeback:
-                            cost += l1.take_writeback_cost()
-                    else:
-                        cost += l1_miss_path(paddr, line % l1_nsets, tag)
-                    acc[_ACC_INSTR] += cost
+        def render_mem(expr: str) -> list[str]:
+            lines = [f"_am = {expr}"]
+            body = [f"_avp = _am >> {_PAGE_SHIFT}",
+                    "if _avp in _tlbE:",
+                    "    _tlbO.hits += 1",
+                    "    del _tlbE[_avp]",
+                    "    _tlbE[_avp] = True"]
+            if ledger:
+                body += ["else:",
+                         f"    _acc[{_ACC_TLB}] += _tlbM(_avp)"]
             else:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    cost = tlb_access(vaddr >> _PAGE_SHIFT)
-                    cost += hierarchy_access(translate(vaddr))
-                    if cost:
-                        acc[_ACC_INSTR] += cost
-
-            def branch(branch_site: int, taken: bool) -> None:
-                penalty = record_branch(branch_site, taken)
-                if penalty:
-                    acc[_ACC_INSTR] += penalty
-        else:
-            if fused_ok:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    vpn = vaddr >> _PAGE_SHIFT
-                    if vpn in tlb_entries:
-                        tlb.hits += 1
-                        del tlb_entries[vpn]
-                        tlb_entries[vpn] = True
-                    else:
-                        acc[_ACC_TLB] += tlb_miss(vpn)
-                    pfn = page_table.get(vpn)
-                    if pfn is None:
-                        paddr = translate(vaddr)
-                    else:
-                        paddr = (pfn << _PAGE_SHIFT) | (vaddr & _page_mask)
-                    line = paddr >> l1_shift
-                    ways = l1_sets[line % l1_nsets]
-                    tag = line // l1_nsets
-                    if tag in ways:
-                        l1.hits += 1
-                        del ways[tag]
-                        ways[tag] = True
-                        cost = l1_hit_cycles
-                        if l1._pending_writeback:
-                            cost += l1.take_writeback_cost()
-                        acc[_ACC_CACHE] += cost
-                        return
-                    # L1 misses can reach DRAM, whose fills traverse the
-                    # contended bus; split the stall share out exactly as
-                    # the unbatched path does.
-                    stall_before = bus.total_stall_cycles
-                    cost = l1_miss_path(paddr, line % l1_nsets, tag)
-                    stall = bus.total_stall_cycles - stall_before
-                    if stall:
-                        acc[_ACC_CACHE] += cost - stall
-                        acc[_ACC_BUS] += stall
-                    else:
-                        acc[_ACC_CACHE] += cost
-            else:
-                def mem_access(vaddr: int) -> None:
-                    if registerized is not None and \
-                            registerized[0] <= vaddr < registerized[1]:
-                        return
-                    tlb_cost = tlb_access(vaddr >> _PAGE_SHIFT)
-                    if tlb_cost:
-                        acc[_ACC_TLB] += tlb_cost
-                    paddr = translate(vaddr)
-                    stall_before = bus.total_stall_cycles
-                    cost = hierarchy_access(paddr)
-                    stall = bus.total_stall_cycles - stall_before
-                    if stall:
-                        acc[_ACC_CACHE] += cost - stall
-                        acc[_ACC_BUS] += stall
-                    elif cost:
-                        acc[_ACC_CACHE] += cost
-
-            def branch(branch_site: int, taken: bool) -> None:
-                penalty = record_branch(branch_site, taken)
-                if penalty:
-                    acc[_ACC_BRANCH] += penalty
-
-        # Inline-expansion template for compiled trace blocks: the same
-        # fused hit path as mem_access above, rendered as source lines
-        # so generated superinstructions avoid one closure call per
-        # memory access.  State updates are line-for-line identical to
-        # the closure, so cycle totals and hit counters cannot diverge.
-        self._mem_inline = None
-        if fused_ok:
-            ledger = self._ledger is not None
-            inline_ns = {
-                "_tlbO": tlb, "_tlbE": tlb_entries, "_tlbM": tlb_miss,
-                "_ptg": page_table.get, "_xl": translate,
-                "_l1S": l1_sets, "_l1O": l1, "_l1M": l1_miss_path,
-                "_l1wb": l1.take_writeback_cost,
-                "_acc": acc, "_busO": bus,
-            }
-
-            def render_mem(expr: str) -> list[str]:
-                lines = [f"_am = {expr}"]
-                body = [f"_avp = _am >> {_PAGE_SHIFT}",
-                        "if _avp in _tlbE:",
-                        "    _tlbO.hits += 1",
-                        "    del _tlbE[_avp]",
-                        "    _tlbE[_avp] = True"]
-                if ledger:
-                    body += ["else:",
-                             f"    _acc[{_ACC_TLB}] += _tlbM(_avp)"]
-                else:
-                    body += ["    _amc = 0",
-                             "else:",
-                             "    _amc = _tlbM(_avp)"]
-                body += ["_apf = _ptg(_avp)",
-                         "if _apf is None:",
-                         "    _apa = _xl(_am)",
+                body += ["    _amc = 0",
                          "else:",
-                         f"    _apa = (_apf << {_PAGE_SHIFT})"
-                         f" | (_am & {_page_mask})",
-                         f"_ali = _apa >> {l1_shift}",
-                         f"_awy = _l1S[_ali % {l1_nsets}]",
-                         f"_atg = _ali // {l1_nsets}",
-                         "if _atg in _awy:",
-                         "    _l1O.hits += 1",
-                         "    del _awy[_atg]",
+                         "    _amc = _tlbM(_avp)"]
+            body += ["_apf = _ptg(_avp)",
+                     "if _apf is None:",
+                     "    _apa = _xl(_am)",
+                     "else:",
+                     f"    _apa = (_apf << {_PAGE_SHIFT})"
+                     f" | (_am & {(1 << _PAGE_SHIFT) - 1})",
+                     f"_ali = _apa >> {l1_shift}",
+                     f"_awy = _l1S[_ali % {l1_nsets}]",
+                     f"_atg = _ali // {l1_nsets}",
+                     "if _atg in _awy:",
+                     "    _l1O.hits += 1"]
+            if lru:
+                # Cache.access moves a hit line to MRU only under LRU.
+                body += ["    del _awy[_atg]",
                          "    _awy[_atg] = True"]
-                if ledger:
-                    body += [f"    _amc = {l1_hit_cycles}",
-                             "    if _l1O._pending_writeback:",
-                             "        _amc += _l1wb()",
-                             f"    _acc[{_ACC_CACHE}] += _amc",
-                             "else:",
-                             "    _asb = _busO.total_stall_cycles",
-                             f"    _amc = _l1M(_apa, _ali % {l1_nsets},"
-                             " _atg)",
-                             "    _ast = _busO.total_stall_cycles - _asb",
-                             "    if _ast:",
-                             f"        _acc[{_ACC_CACHE}] += _amc - _ast",
-                             f"        _acc[{_ACC_BUS}] += _ast",
-                             "    else:",
-                             f"        _acc[{_ACC_CACHE}] += _amc"]
-                else:
-                    body += [f"    _amc += {l1_hit_cycles}",
-                             "    if _l1O._pending_writeback:",
-                             "        _amc += _l1wb()",
-                             "else:",
-                             f"    _amc += _l1M(_apa, _ali % {l1_nsets},"
-                             " _atg)",
-                             f"_acc[{_ACC_INSTR}] += _amc"]
-                if registerized is not None:
-                    lines.append(f"if not ({registerized[0]} <= _am"
-                                 f" < {registerized[1]}):")
-                    lines += ["    " + b for b in body]
-                else:
-                    lines += body
-                return lines
+            if ledger:
+                body += [f"    _amc = {l1_hit_cycles}",
+                         "    if _l1O._pending_writeback:",
+                         "        _amc += _l1wb()",
+                         f"    _acc[{_ACC_CACHE}] += _amc",
+                         "else:",
+                         # L1 misses can reach DRAM, whose fills traverse
+                         # the contended bus: split the stall share out
+                         # exactly as the unbatched path does.
+                         "    _asb = _busO.total_stall_cycles",
+                         f"    _amc = _l1M(_apa, _ali % {l1_nsets}, _atg)",
+                         "    _ast = _busO.total_stall_cycles - _asb",
+                         "    if _ast:",
+                         f"        _acc[{_ACC_CACHE}] += _amc - _ast",
+                         f"        _acc[{_ACC_BUS}] += _ast",
+                         "    else:",
+                         f"        _acc[{_ACC_CACHE}] += _amc"]
+            else:
+                # No attribution wanted: everything lands in one slot
+                # (the flush tag is ignored without a ledger).
+                body += [f"    _amc += {l1_hit_cycles}",
+                         "    if _l1O._pending_writeback:",
+                         "        _amc += _l1wb()",
+                         "else:",
+                         f"    _amc += _l1M(_apa, _ali % {l1_nsets}, _atg)",
+                         f"_acc[{_ACC_INSTR}] += _amc"]
+            if registerized is not None:
+                lines.append(f"if not ({registerized[0]} <= _am"
+                             f" < {registerized[1]}):")
+                lines += ["    " + b for b in body]
+            else:
+                lines += body
+            return lines
 
-            self._mem_inline = (render_mem, inline_ns)
+        self._mem_inline = (render_mem, inline_ns)
+        source = "\n".join(["def mem_access(vaddr):"]
+                           + ["    " + line for line in render_mem("vaddr")])
+        mem_ns = dict(inline_ns)
+        exec(_compile_mem(source), mem_ns)  # noqa: S102 - fixed template
+        mem_access = mem_ns["mem_access"]
+
+        record_branch = self.predictor.record
+        branch_slot = _ACC_BRANCH if ledger else _ACC_INSTR
+
+        def branch(branch_site: int, taken: bool) -> None:
+            penalty = record_branch(branch_site, taken)
+            if penalty:
+                acc[branch_slot] += penalty
 
         self.charge = charge
         self.charge_block = charge_block

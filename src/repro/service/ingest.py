@@ -10,7 +10,10 @@ layer spends the cheap checks first, PeerReview-style:
    epoch plus this chunk's intact entries) is checked against the
    segment's signed authenticator.  A mismatch is *proof* of tampering —
    the entries on hand are not the ones the machine committed to — and
-   short-circuits straight to escalation without any replay.
+   short-circuits straight to escalation without any replay.  A chunk
+   whose entries would make the accumulated log non-monotonic (delivered
+   out of order) fails the same way and is not appended, so no replay
+   window is ever a log :meth:`EventLog.from_bytes` rejects.
 3. **Gap discipline** — once a chunk is damaged or lost, later chunks of
    the same epoch are quarantined rather than appended: splicing entries
    after a gap would produce a log the chain can never match, and a
@@ -109,18 +112,27 @@ class IngestGate:
             self._count(record)
             return record
 
-        acc.log.entries.extend(intact)
-        chain_ok = verifier.verify_available_prefix(acc.log, shipment.auth)
+        held = acc.log.entries
+        if intact and held and intact[0].instr_count < held[-1].instr_count:
+            # Appending would make the window a log ``from_bytes``
+            # rejects: the chunk cannot extend this chain.
+            chain_ok = False
+            detail = ("out-of-order chunk: its entries start before the "
+                      "accumulated log ends")
+        else:
+            held.extend(intact)
+            chain_ok = verifier.verify_available_prefix(acc.log,
+                                                        shipment.auth)
+            detail = ("attestation chain mismatch: the delivered entries "
+                      "are not the ones the machine committed to")
         if chain_ok is False:
             acc.tampered = True
             acc.gap = True            # nothing after proof of tampering
             record = AdmissionRecord(
                 shipment, AdmissionStatus.TAMPER,
                 intact_entries=len(intact),
-                accumulated_entries=len(acc.log.entries),
-                chain_ok=False,
-                detail="attestation chain mismatch: the delivered entries "
-                       "are not the ones the machine committed to")
+                accumulated_entries=len(held),
+                chain_ok=False, detail=detail)
             self._count(record)
             return record
 

@@ -245,6 +245,9 @@ class ProverSession:
         rng = self._rng(f"ship:{epoch}")
         shipments: list[SegmentShipment] = []
         tampered = False
+        # Segments of one epoch are delivered in order: a retried segment
+        # holds back the ones behind it, so arrivals never go backwards.
+        last_arrival_ms = epoch_start_ms
         for seq, (start, end) in enumerate(bounds):
             chunk_entries = list(entries[start:end])
             # The chain commits to the *honest* entries first; a tamperer
@@ -269,12 +272,14 @@ class ProverSession:
             transfer = self.channel.transfer(
                 chunk_bytes, rng.fork(f"xfer:{seq}"))
             sent_ms = epoch_start_ms + (seq + 1) * self.segment_interval_ms
+            last_arrival_ms = max(last_arrival_ms,
+                                  sent_ms + transfer.elapsed_ms)
             shipments.append(SegmentShipment(
                 tenant_id=self.spec.tenant_id, epoch=epoch, seq=seq,
                 total_segments=self.spec.segments,
                 chunk_bytes=transfer.data, auth=auth,
                 sent_ms=sent_ms,
-                arrival_ms=sent_ms + transfer.elapsed_ms,
+                arrival_ms=last_arrival_ms,
                 transfer=transfer))
         return EpochShipment(tenant_id=self.spec.tenant_id, epoch=epoch,
                              wire=WireObservation.from_result(result),

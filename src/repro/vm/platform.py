@@ -81,8 +81,11 @@ class Platform(abc.ABC):
         Returns ``(render, namespace)`` where ``render(expr)`` yields
         source lines charging a memory access at address ``expr`` with
         state updates identical to :meth:`mem_access`, and ``namespace``
-        holds the objects those lines reference.  ``None`` (the default)
-        makes compiled blocks call :meth:`mem_access` per access.
+        holds the objects those lines reference.  A platform may compile
+        its own ``mem_access`` from the same template (the timed core
+        does), so interpreter and compiled blocks run the same source.
+        ``None`` (the default) makes compiled blocks call
+        :meth:`mem_access` per access.
         """
         return None
 

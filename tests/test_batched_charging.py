@@ -6,9 +6,16 @@ Integer addition is associative, so everything observable — total
 cycles, per-source ledger sums, transmission times, audit verdicts —
 must be bit-identical to the unbatched implementation, which stays
 available behind ``REPRO_NO_BATCH=1`` as the reference.
+
+The batched memory path is compiled from the same source template the
+trace JIT inlines, so the L1 replacement-policy sweep below diffs that
+one template against both oracles (``REPRO_NO_BATCH=1`` and
+``REPRO_NO_JIT=1``) for every policy it renders.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -16,6 +23,7 @@ from repro.apps import build_nfs_program, build_nfs_workload
 from repro.core.resilience import audit_resilient
 from repro.core.tdr import round_trip
 from repro.determinism import SplitMix64
+from repro.hw.cache import ReplacementPolicy
 from repro.hw.cpu import CostClass
 from repro.machine import MachineConfig
 from repro.machine.machine import Machine
@@ -30,9 +38,16 @@ def nfs_program():
     return build_nfs_program()
 
 
-def _round_trip(nfs_program, obs=None, schedule=None):
+def _config(policy=ReplacementPolicy.LRU):
+    config = MachineConfig()
+    return dataclasses.replace(config, l1_config=dataclasses.replace(
+        config.l1_config, policy=policy))
+
+
+def _round_trip(nfs_program, obs=None, schedule=None,
+                policy=ReplacementPolicy.LRU):
     workload = build_nfs_workload(SplitMix64(7042), num_requests=REQUESTS)
-    return round_trip(nfs_program, MachineConfig(), workload=workload,
+    return round_trip(nfs_program, _config(policy), workload=workload,
                       play_seed=3, replay_seed=9,
                       covert_schedule=schedule, obs=obs)
 
@@ -40,6 +55,30 @@ def _round_trip(nfs_program, obs=None, schedule=None):
 def _snapshot(result):
     return (result.total_cycles, result.instructions, result.tx,
             result.tx_times_ms(), result.ledger)
+
+
+@pytest.mark.parametrize("oracle", ["REPRO_NO_BATCH", "REPRO_NO_JIT"])
+@pytest.mark.parametrize("ledger", [False, True],
+                         ids=["no-ledger", "ledger"])
+@pytest.mark.parametrize("policy", list(ReplacementPolicy),
+                         ids=lambda policy: policy.value)
+def test_l1_policy_matches_oracle(nfs_program, monkeypatch, policy, ledger,
+                                  oracle):
+    """Every L1 policy renders its own template (only LRU moves a hit
+    line); batched and compiled runs must match each oracle exactly,
+    hit/miss counters included."""
+    def trip():
+        return _round_trip(nfs_program, policy=policy,
+                           obs=Observability() if ledger else None)
+
+    fast = trip()
+    monkeypatch.setenv(oracle, "1")
+    reference = trip()
+    for ours, theirs in ((fast.play, reference.play),
+                         (fast.replay, reference.replay)):
+        assert _snapshot(ours) == _snapshot(theirs)
+        assert ours.stats == theirs.stats
+    assert (fast.play.ledger is not None) == ledger
 
 
 def test_batched_matches_unbatched_with_ledger(nfs_program, monkeypatch):
@@ -89,17 +128,23 @@ def test_audit_verdicts_match_unbatched(nfs_program, monkeypatch):
 
 
 def test_no_batch_escape_hatch(monkeypatch):
-    machine = Machine(MachineConfig(), seed=0, mode="play")
-    # Batched: the fast paths are bound as instance attributes.
-    assert batching_enabled()
-    assert "charge" in machine.platform.__dict__
-    assert "mem_access" in machine.platform.__dict__
+    for policy in (ReplacementPolicy.LRU, ReplacementPolicy.FIFO):
+        machine = Machine(_config(policy), seed=0, mode="play")
+        # Batched: the fast paths are bound as instance attributes, and
+        # the memory template is offered to the trace JIT for every
+        # policy.
+        assert batching_enabled()
+        assert "charge" in machine.platform.__dict__
+        assert "mem_access" in machine.platform.__dict__
+        assert machine.platform.mem_inline() is not None
 
     monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    reference = Machine(MachineConfig(), seed=0, mode="play")
-    assert not batching_enabled()
-    assert "charge" not in reference.platform.__dict__
-    assert "mem_access" not in reference.platform.__dict__
+    for policy in (ReplacementPolicy.LRU, ReplacementPolicy.FIFO):
+        reference = Machine(_config(policy), seed=0, mode="play")
+        assert not batching_enabled()
+        assert "charge" not in reference.platform.__dict__
+        assert "mem_access" not in reference.platform.__dict__
+        assert reference.platform.mem_inline() is None
 
 
 def test_no_ledger_charge_is_plain_accumulation():

@@ -75,3 +75,17 @@ class TestFleetDeterminism:
         report = _run(chaos=None, nodes=nodes)
         assert report.flagged_tenants == ["tenant-01"]
         assert not report.unaudited
+
+
+def test_lossy_tenant_late_segment_regression():
+    """Serve seed 1072349129: the lossy tenant's segment 0 is retried and
+    arrives after segments 1 and 2.  Delivered out of order it produced a
+    false tamper and a non-monotonic replay window that crashed the run;
+    delivered in order only the covert tenant is flagged."""
+    service = FleetService(
+        default_tenants(4, requests=4),
+        topology=FleetTopology(num_nodes=4), epochs=2,
+        seed=1072349129, registry=MetricsRegistry())
+    report = service.run(jobs=1)
+    assert report.flagged_tenants == ["tenant-01"]
+    assert not report.unaudited

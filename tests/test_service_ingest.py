@@ -3,8 +3,12 @@
 import dataclasses
 
 from repro.analysis.parallel import execute_spec
+from repro.core.log import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AdmissionStatus, IngestGate, ProverSession, TenantSpec
+from repro.service import (AdmissionStatus, FleetService, FleetTopology,
+                           IngestGate, ProverSession, TenantSpec,
+                           default_tenants)
+from repro.service.scheduler import AuditScheduler
 
 
 def _shipments(tamper=False, tenant_id="t0"):
@@ -77,6 +81,56 @@ def test_intact_segment_after_gap_is_quarantined():
     assert late.chain_ok is None
     # Quarantined entries never reach the verifier-side log.
     assert len(gate.accumulator(spec.tenant_id, 0).log.entries) == before
+
+
+def test_out_of_order_chunk_is_not_appended():
+    spec, shipments = _shipments()
+    gate = _gate(spec)
+    early = gate.admit(shipments[1])          # segment 1 overtook 0
+    assert early.chain_ok is None             # covers entries not on hand
+    before = list(gate.accumulator(spec.tenant_id, 0).log.entries)
+    late = gate.admit(shipments[0])
+    assert late.status is AdmissionStatus.TAMPER
+    assert late.chain_ok is False
+    acc = gate.accumulator(spec.tenant_id, 0)
+    # The late chunk never reaches the window, which stays a log the
+    # codec accepts.
+    assert acc.log.entries == before
+    assert EventLog.from_bytes(acc.log.to_bytes()).entries == before
+    assert acc.tampered and acc.gap
+    assert gate.admit(shipments[2]).status is AdmissionStatus.QUARANTINED
+
+
+def test_fleet_never_replays_a_non_monotonic_window(monkeypatch):
+    """A hostile tenant that ships segment 1 before segment 0 is flagged
+    through the chain check; no replay window the fleet prepares is one
+    ``EventLog.from_bytes`` rejects, so the fleet run completes."""
+    original_ship = ProverSession.ship
+
+    def reordering_ship(self, epoch, result, epoch_start_ms):
+        shipment = original_ship(self, epoch, result, epoch_start_ms)
+        if self.spec.tenant_id == "tenant-00":
+            first, second = shipment.shipments[:2]
+            shipment.shipments[0] = dataclasses.replace(
+                first, arrival_ms=second.arrival_ms + 1.0)
+        return shipment
+
+    windows = []
+    original_prepare = AuditScheduler._prepare
+
+    def checked_prepare(self, job, gate):
+        prepared = original_prepare(self, job, gate)
+        if prepared[0] is not None:
+            windows.append(EventLog.from_bytes(prepared[0].log_bytes))
+        return prepared
+
+    monkeypatch.setattr(ProverSession, "ship", reordering_ship)
+    monkeypatch.setattr(AuditScheduler, "_prepare", checked_prepare)
+    report = FleetService(default_tenants(3, requests=4),
+                          topology=FleetTopology(num_nodes=2), epochs=1,
+                          seed=7, registry=MetricsRegistry()).run(jobs=1)
+    assert windows
+    assert "tenant-00" in report.flagged_tenants
 
 
 def test_epochs_accumulate_independently():

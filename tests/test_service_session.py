@@ -80,6 +80,26 @@ class TestShipping:
         for seg in shipment.shipments:
             assert seg.arrival_ms >= seg.sent_ms
 
+    def test_lossy_arrivals_never_go_backwards(self):
+        # A retried segment holds back the ones behind it: the verifier
+        # must receive a tenant-epoch's segments in order, or the chain
+        # it accumulates is spliced out of order (a false tamper).
+        spec = TenantSpec(tenant_id="t3", requests=4, seed=3, segments=3,
+                          drop_rate=0.12)
+        late_retries = 0
+        for service_seed in range(12):
+            session = ProverSession(spec, service_seed=service_seed)
+            shipment = session.ship(0, _play(session), epoch_start_ms=0.0)
+            own = [seg.sent_ms + seg.transfer.elapsed_ms
+                   for seg in shipment.shipments]
+            arrivals = [seg.arrival_ms for seg in shipment.shipments]
+            assert arrivals == sorted(arrivals), service_seed
+            assert all(a >= o for a, o in zip(arrivals, own))
+            late_retries += own != sorted(own)
+        # The sweep covers at least one segment that overtook its
+        # predecessor in transit.
+        assert late_retries > 0
+
     def test_tamper_rewrites_exactly_one_payload(self):
         honest = _session()
         tampering = _session(tamper=True)
