@@ -23,7 +23,7 @@ Run:  python examples/audited_service.py
 
 from repro.core.resilience import AuditClassification
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AuditService, default_tenants
+from repro.service import FleetService, FleetTopology, default_tenants
 
 TENANTS = 3
 EPOCHS = 2
@@ -43,7 +43,9 @@ def main() -> None:
               f"{spec.segments} segments/epoch"
               + (f" — {', '.join(traits)}" if traits else ""))
 
-    service = AuditService(roster, epochs=EPOCHS, seed=SEED,
+    # One verifier node: the same service ``reproduce serve`` runs.
+    service = FleetService(roster, topology=FleetTopology(num_nodes=1),
+                           epochs=EPOCHS, seed=SEED,
                            registry=MetricsRegistry())
     report = service.run()
 

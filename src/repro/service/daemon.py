@@ -1,42 +1,22 @@
-"""The continuous-audit verifier daemon, simulated end to end.
+"""The prover side of the verifier service: the tenant roster and shipping.
 
-:class:`AuditService` wires the whole pipeline together and runs it
-under the seeded discrete-event clock:
-
-1. **Play** — each epoch, every tenant's machine execution runs as a
-   batched, submission-ordered :func:`~repro.analysis.parallel.run_fleet`
-   round (covert tenants inject their ``covert_delay`` schedule here;
-   the verifier's trusted wire vantage captures what actually went out).
-2. **Ship** — each session chains, signs, and transfers its log in
-   segments; arrivals land on the :class:`~repro.service.simclock.SimClock`
-   at virtual times derived from the lossy-channel model.
-3. **Ingest** — arrivals pop in deterministic order and pass the CRC +
-   attestation-chain gate; admitted segments spawn audit jobs.
-4. **Audit** — the scheduler drains the priority queue in dispatch
-   rounds, replaying through the cache-backed fleet and feeding the
-   escalation state machine until no job (including freshly escalated
-   ones) remains.
-
-`run` returns a :class:`~repro.service.verdicts.ServiceReport` that is a
-pure function of ``(seed, tenant roster, policy)`` — the determinism
-suite pins byte-equality of its :meth:`verdicts_dict` across repeat runs
-and across ``--jobs`` settings.
+Each epoch, :func:`play_and_ship` runs every tenant's machine execution
+as one batched, submission-ordered
+:func:`~repro.analysis.parallel.run_fleet` round (covert tenants inject
+their ``covert_delay`` schedule here; the verifier's trusted wire
+vantage captures what actually went out), then each session chains,
+signs, and transfers its log in segments whose arrivals land on the
+:class:`~repro.service.simclock.SimClock` at virtual times derived from
+the lossy-channel model.  The verifier side — ingest, scheduling,
+escalation, verdicts — is :class:`~repro.service.fleet.FleetService`,
+which ``reproduce serve`` runs with one node.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from repro.analysis.parallel import run_fleet
-from repro.core.replay_cache import ReplayCache
-from repro.machine.config import MachineConfig
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.service.ingest import IngestGate
-from repro.service.queue import AuditQueue
-from repro.service.scheduler import AuditScheduler, EscalationPolicy
-from repro.service.session import ProverSession, TenantSpec
-from repro.service.simclock import ServiceError, SimClock, WorkerPool
-from repro.service.verdicts import ServiceReport, VerdictSink
+from repro.service.session import TenantSpec
+from repro.service.simclock import ServiceError
 
 
 def default_tenants(num_tenants: int, covert_channel: str = "ipctc",
@@ -64,120 +44,13 @@ def play_and_ship(sessions: dict, epoch: int, epoch_start: float,
                   jobs: int | None = None) -> list:
     """Play every tenant's epoch in one fleet batch and ship the logs.
 
-    The prover side of the pipeline, shared by the single-node
-    :class:`AuditService` and the sharded
-    :class:`~repro.service.fleet.FleetService` — tenants' machines run
-    regardless of which verifier node will audit them (or whether that
-    node survives).  Returns ``[(tenant_id, EpochShipment), ...]`` in
-    sorted-tenant order; replays stay submission-ordered so ``jobs``
-    changes wall-clock only.
+    Tenants' machines run regardless of which verifier node will audit
+    them (or whether that node survives).  Returns
+    ``[(tenant_id, EpochShipment), ...]`` in sorted-tenant order; plays
+    stay submission-ordered so ``jobs`` changes wall-clock only.
     """
     order = sorted(sessions)
     specs = [sessions[tid].play_spec(epoch) for tid in order]
     results = run_fleet(specs, jobs=jobs)
     return [(tid, sessions[tid].ship(epoch, result, epoch_start))
             for tid, result in zip(order, results)]
-
-
-class AuditService:
-    """A multi-tenant verifier daemon over virtual time."""
-
-    def __init__(self, tenants: list[TenantSpec], epochs: int = 2,
-                 seed: int = 0, config: MachineConfig | None = None,
-                 policy: EscalationPolicy | None = None,
-                 num_workers: int = 2, queue_depth: int = 64,
-                 tenant_budget: int = 8,
-                 epoch_interval_ms: float = 400.0,
-                 segment_interval_ms: float = 40.0,
-                 registry: MetricsRegistry | None = None) -> None:
-        if epochs < 1:
-            raise ServiceError(f"need >= 1 epoch, got {epochs}")
-        ids = [spec.tenant_id for spec in tenants]
-        if len(set(ids)) != len(ids):
-            raise ServiceError(f"duplicate tenant ids in roster: {ids}")
-        self.epochs = epochs
-        self.seed = seed
-        self.config = config or MachineConfig()
-        self.epoch_interval_ms = epoch_interval_ms
-        self.registry = registry if registry is not None else get_registry()
-        self.specs = {spec.tenant_id: spec for spec in tenants}
-        self.sessions = {
-            spec.tenant_id: ProverSession(
-                spec, config=self.config, service_seed=seed,
-                segment_interval_ms=segment_interval_ms)
-            for spec in tenants}
-        self.clock = SimClock()
-        self.gate = IngestGate(self.specs, registry=self.registry)
-        self.scheduler = AuditScheduler(
-            self.specs, config=self.config, policy=policy,
-            queue=AuditQueue(max_depth=queue_depth,
-                             tenant_budget=tenant_budget,
-                             registry=self.registry),
-            pool=WorkerPool(num_workers=num_workers),
-            cache=ReplayCache(maxsize=4 * max(1, len(tenants)),
-                              registry=self.registry),
-            sink=VerdictSink(registry=self.registry),
-            registry=self.registry)
-        self._segments_shipped = 0
-
-    # -- the epoch loop ----------------------------------------------------
-
-    def run_epoch(self, epoch: int, jobs: int | None = None) -> None:
-        """Play, ship, ingest, and audit one epoch for every tenant."""
-        epoch_start = max(self.clock.now_ms, epoch * self.epoch_interval_ms)
-        for tid, shipment in play_and_ship(self.sessions, epoch,
-                                           epoch_start, jobs=jobs):
-            self.scheduler.observe_wire(tid, epoch, shipment.wire)
-            self._segments_shipped += len(shipment.shipments)
-            for segment in shipment.shipments:
-                self.clock.schedule(segment.arrival_ms, "segment", segment)
-
-        while self.clock:
-            event = self.clock.pop()
-            record = self.gate.admit(event.payload)
-            self.scheduler.note_admission(record, self.gate)
-
-        self.scheduler.run_pending(self.gate, jobs=jobs)
-
-    def run(self, jobs: int | None = None) -> ServiceReport:
-        """Run every epoch and assemble the report."""
-        for epoch in range(self.epochs):
-            self.run_epoch(epoch, jobs=jobs)
-        return self.report()
-
-    # -- reporting ---------------------------------------------------------
-
-    def report(self) -> ServiceReport:
-        sink = self.scheduler.sink
-        horizon = max(
-            [self.clock.now_ms]
-            + [e.completion_ms for e in sink.events])
-        stats = asdict(self.scheduler.queue.stats)
-        return ServiceReport(
-            seed=self.seed, epochs=self.epochs,
-            ledgers=dict(sink.ledgers),
-            queue_stats=stats,
-            utilization=self.scheduler.pool.utilization(horizon),
-            num_workers=self.scheduler.pool.num_workers,
-            cache_hits=self.scheduler.cache.hits,
-            cache_misses=self.scheduler.cache.misses,
-            horizon_ms=horizon,
-            segments_shipped=self._segments_shipped,
-            metrics=(self.registry.snapshot()
-                     if self.registry.enabled else {}))
-
-
-def persist_service_report(runstore, report: ServiceReport,
-                           label: str = "") -> str:
-    """Save a service run (kind ``service``) to a run store."""
-    from repro.obs.runstore import RunRecord
-
-    record = RunRecord(
-        kind="service", label=label,
-        seeds=[report.seed],
-        metrics=report.metrics,
-        verdicts=report.verdicts_dict(),
-        figures={"horizon_ms": report.horizon_ms,
-                 "utilization": report.utilization,
-                 "queue": dict(report.queue_stats)})
-    return runstore.save(record)

@@ -1,8 +1,8 @@
-"""A sharded verifier fleet with chaos, rebalance, and graceful degradation.
+"""The verifier service: N audit nodes with chaos, rebalance, and degradation.
 
-:class:`FleetService` scales the single-node
-:class:`~repro.service.daemon.AuditService` out to N verifier nodes on
-the *same* discrete-event clock:
+:class:`FleetService` is the one verifier service — ``reproduce serve``
+is ``reproduce fleet-audit --nodes 1`` — running N verifier nodes on one
+discrete-event clock:
 
 * **Placement** — tenants are owned via a consistent-hash
   :class:`~repro.service.ring.HashRing` (removing a node moves only its
@@ -35,13 +35,14 @@ ledger sums across reruns and across ``jobs=1`` vs ``jobs=4``, because
 every decision keys off virtual time and the seed — including the
 failure detector's.
 
-Dispatch works as a discrete-event loop rather than the daemon's
-drain-then-audit phases: queued jobs are priced onto their node's
-virtual worker pool the moment they could start, and their *judgement*
-is a scheduled completion event.  A crash that lands between a job's
-start and completion therefore kills it in flight — the verdict is
-discarded and the job is redelivered by the rebalance, exercising the
-at-least-once path for real.
+Dispatch is a discrete-event loop: queued jobs are priced onto their
+node's virtual worker pool the moment they could start, and their
+*judgement* is a scheduled completion event — so an escalation runs as
+soon as the spot check that raised it completes, not after the epoch's
+other arrivals.  A crash that lands between a job's start and
+completion therefore kills it in flight — the verdict is discarded and
+the job is redelivered by the rebalance, exercising the at-least-once
+path for real.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.faults.plans import NodeChaosPlan
 from repro.machine.config import MachineConfig
 from repro.obs.dist import FLEET_TRACK, DistTracer
 from repro.obs.metrics import MetricsRegistry, get_registry, labeled
-from repro.obs.tracer import SpanTracer
 from repro.service.daemon import play_and_ship
 from repro.service.failure import FailureDetector
 from repro.service.ingest import IngestGate
@@ -187,10 +187,6 @@ class FleetService:
             for spec in tenants}
 
         self.clock = SimClock()
-        #: Rebalance spans and chaos instants, on the virtual clock
-        #: (the tracer's time source is in nanoseconds).
-        self.tracer = SpanTracer(
-            time_fn=lambda: self.clock.now_ms * 1e6)
         #: The fleet-wide session trace: per-node span tracks, latency
         #: series, chaos markers.  Purely observational — disabling it
         #: (``trace=False``) is bit-identical in every verdict.
@@ -198,7 +194,7 @@ class FleetService:
                                         if trace else None)
         self.gate = IngestGate(self.specs, registry=self.registry)
         #: One idempotent verdict history for the whole fleet.
-        self.sink = VerdictSink(registry=self.registry, dedupe=True)
+        self.sink = VerdictSink(registry=self.registry)
         #: Shared tenant state machines: escalation history must follow
         #: a tenant to its new owner after a rebalance.
         self.states = {tid: TenantState(spec=spec)
@@ -334,7 +330,6 @@ class FleetService:
             return
         if fault.kind == "crash":
             node.crashed_at = now
-            self.tracer.instant(f"crash:{node.node_id}", category="chaos")
             if self.dist is not None:
                 self.dist.instant(f"crash:{node.node_id}", node.node_id,
                                   now, category="chaos")
@@ -347,8 +342,6 @@ class FleetService:
         elif fault.kind == "stall":
             node.stall_until = max(node.stall_until,
                                    now + fault.duration_ms)
-            self.tracer.instant(f"stall:{node.node_id}", category="chaos",
-                                duration_ms=fault.duration_ms)
             if self.dist is not None:
                 self.dist.instant(f"stall:{node.node_id}", node.node_id,
                                   now, category="chaos",
@@ -363,8 +356,6 @@ class FleetService:
         elif fault.kind == "slow":
             node.slow_factor = max(node.slow_factor, fault.factor)
             node.scheduler.time_factor = node.slow_factor
-            self.tracer.instant(f"slow:{node.node_id}", category="chaos",
-                                factor=fault.factor)
             if self.dist is not None:
                 self.dist.instant(f"slow:{node.node_id}", node.node_id,
                                   now, category="chaos",
@@ -385,7 +376,6 @@ class FleetService:
             # ownership stays (it may come back); the steal pass
             # relieves its queue in the meantime.
             self.detector.suspect(node_id, now)
-            self.tracer.instant(f"suspect:{node_id}", category="detector")
             if self.dist is not None:
                 self.dist.instant(f"suspect:{node_id}", node_id, now,
                                   category="detector")
@@ -403,7 +393,6 @@ class FleetService:
             # Back from the dead: clear suspicion, but remember the
             # strike — the next silence gets a longer grace period.
             self.detector.resume(node_id, self.clock.now_ms)
-            self.tracer.instant(f"resume:{node_id}", category="detector")
             if self.dist is not None:
                 self.dist.instant(f"resume:{node_id}", node_id,
                                   self.clock.now_ms, category="detector")
@@ -411,8 +400,6 @@ class FleetService:
     # -- rebalance (the at-least-once redelivery path) ---------------------
 
     def _rebalance(self, node: FleetNode, now: float, reason: str) -> None:
-        self.tracer.begin(f"rebalance:{node.node_id}", category="fleet",
-                          reason=reason)
         before = self.ring.assignment(self.tenant_ids)
         self.ring.remove_node(node.node_id)
         after = self.ring.assignment(self.tenant_ids)
@@ -468,8 +455,6 @@ class FleetService:
             moved_tenants=moved, requeued=requeued,
             killed_in_flight=killed))
         self._maybe_degrade()
-        self.tracer.end(f"rebalance:{node.node_id}", moved=len(moved),
-                        requeued=requeued)
 
     def _maybe_degrade(self) -> None:
         alive = len(self.ring)
@@ -482,8 +467,6 @@ class FleetService:
             self.degraded_mode = True
             for peer in self.nodes:
                 peer.scheduler.spot_only = True
-            self.tracer.instant("degraded-mode", category="fleet",
-                                alive=alive)
             if self.dist is not None:
                 self.dist.instant("degraded-mode", FLEET_TRACK,
                                   self.clock.now_ms, category="fleet",
@@ -760,14 +743,15 @@ class FleetReport:
         lines += [
             "",
             f"{'tenant':<12} {'verdict':<22} {'audits':>6} {'spot':>5} "
-            f"{'full':>5} {'escal':>6}",
+            f"{'full':>5} {'escal':>6} {'anom':>5} {'degr':>5}",
         ]
         for tid in sorted(self.ledgers):
             ledger = self.ledgers[tid]
             lines.append(
                 f"{tid:<12} {ledger.verdict:<22} {ledger.audits:>6} "
                 f"{ledger.spot_checks:>5} {ledger.full_audits:>5} "
-                f"{ledger.escalations:>6}")
+                f"{ledger.escalations:>6} {ledger.anomalies:>5} "
+                f"{ledger.degraded_audits:>5}")
         for rebalance in self.rebalances:
             lines.append(
                 f"rebalance @{rebalance['time_ms']:.1f} ms: "

@@ -231,7 +231,7 @@ class AuditScheduler:
         #: Verifier-observed wire traces, keyed ``(tenant_id, epoch)``.
         #: Fleet-shared for the same reason as ``states``.
         self.wires: dict[tuple[str, int], WireObservation] = {}
-        #: Which fleet node hosts this scheduler ("" = standalone daemon).
+        #: Which fleet node hosts this scheduler ("" = standalone).
         self.node_id = node_id
         #: Virtual service-time multiplier (a slow-node fault raises it).
         self.time_factor = 1.0
@@ -338,25 +338,6 @@ class AuditScheduler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def run_pending(self, gate: IngestGate,
-                    jobs: int | None = None) -> list[AuditEvent]:
-        """Drain the queue, batch replays over the fleet, judge results.
-
-        Escalations spawned by a batch land in the queue and run in the
-        next round; the loop ends when a round escalates nothing.
-        """
-        events: list[AuditEvent] = []
-        while self.queue:
-            batch = self.queue.drain()
-            prepared = resolve_replays([(self, job, gate) for job in batch],
-                                       jobs=jobs)
-            for job, p in zip(batch, prepared):
-                self.price(job, p)
-                event = self.complete(job, p, gate)
-                if event is not None:
-                    events.append(event)
-        return events
-
     def _prepare(self, job: AuditJob, gate: IngestGate
                  ) -> tuple[ReplayTask | None, ReplayTaskResult | None, bool]:
         """Resolve one job against the cache.
@@ -384,7 +365,7 @@ class AuditScheduler:
     # -- pricing (dispatch time) -------------------------------------------
 
     def price(self, job: AuditJob, prepared,
-              now_ms: float | None = None) -> tuple[float, float]:
+              now_ms: float) -> tuple[float, float]:
         """Assign the job a virtual worker; stamp start/completion times.
 
         Pricing is separate from judgement so a fleet can put a job *in
@@ -401,9 +382,8 @@ class AuditScheduler:
             replayed, _ = outcome
             service_ms = replayed.instructions / policy.virtual_instr_per_ms
         service_ms *= self.time_factor
-        ready = (job.ready_ms if now_ms is None
-                 else max(job.ready_ms, now_ms))
-        worker, start, completion = self.pool.assign(ready, service_ms)
+        worker, start, completion = self.pool.assign(
+            max(job.ready_ms, now_ms), service_ms)
         job.service_ms = service_ms
         job.worker = worker
         job.start_ms, job.completion_ms = start, completion
@@ -419,7 +399,7 @@ class AuditScheduler:
         job's identity — the at-least-once redelivery case, where the
         whole judgement (state transition included) must not repeat.
         """
-        if self.sink.dedupe and self.sink.already_recorded(job.session_key):
+        if self.sink.already_recorded(job.session_key):
             self.sink.count_duplicate()
             return None
         acc = gate.accumulator(job.tenant_id, job.epoch)
@@ -514,10 +494,14 @@ class AuditScheduler:
                 return AuditClassification.TRANSFER_DEGRADED, None
             return AuditClassification.CLEAN, None
 
-        # Spot checks never flag on their own — they escalate.
-        if (timing_anomaly or payload_mismatch) and not was_flagged:
-            state.status = TenantStatus.SUSPECT
+        # Spot checks never flag on their own — they escalate, unless
+        # the tenant is already flagged: then the anomaly is recorded
+        # and no second full replay is spent on it.
+        if timing_anomaly or payload_mismatch:
             state.anomalies += 1
+            if was_flagged:
+                return AuditClassification.REPLAY_DIVERGENT, None
+            state.status = TenantStatus.SUSPECT
             state.escalations += 1
             follow_up = self._job(
                 job.tenant_id, job.epoch, "escalated", PRIORITY_ESCALATED,

@@ -612,35 +612,12 @@ def run_audit(args) -> int:
 
 
 def run_serve(args) -> int:
-    _banner("Serve — continuous-audit verifier service (virtual time)")
-    from repro.service import (AuditService, default_tenants,
-                               persist_service_report)
-
-    registry = MetricsRegistry()
-    tenants = default_tenants(args.tenants, covert_channel=args.covert
-                              or "ipctc", requests=args.requests)
-    service = AuditService(tenants, epochs=args.epochs,
-                           seed=args.serve_seed, num_workers=args.workers,
-                           registry=registry)
-    with time_phase("serve.run", registry):
-        report = service.run(jobs=args.jobs)
-    for line in report.render_lines():
-        print(f"  {line}")
-
-    store = _store(args)
-    if store is not None:
-        run_id = persist_service_report(
-            store, report,
-            label=f"{args.tenants} tenants x {args.epochs} epochs")
-        print(f"  [stored {run_id} in {store.root}]")
-    _print_phase_report(registry)
-    if report.exit_code:
-        print("  flagged tenants -> non-zero exit")
-    return report.exit_code
+    """``serve`` is ``fleet-audit --nodes 1``: the single verifier."""
+    return run_fleet_audit(argparse.Namespace(**{**vars(args), "nodes": 1}))
 
 
 def run_fleet_audit(args) -> int:
-    _banner("Fleet audit — sharded verifier fleet under node chaos")
+    _banner(f"Verifier service — {args.nodes} node(s) on virtual time")
     from repro.errors import ObservabilityError
     from repro.faults.plans import FaultPlanError, NodeChaosPlan
     from repro.obs.dist import SLOSpec, evaluate_slo
@@ -665,7 +642,8 @@ def run_fleet_audit(args) -> int:
     tenants = default_tenants(args.tenants, covert_channel=args.covert
                               or "ipctc", requests=args.requests)
     service = FleetService(
-        tenants, topology=FleetTopology(num_nodes=args.nodes),
+        tenants, topology=FleetTopology(num_nodes=args.nodes,
+                                        workers_per_node=args.workers),
         epochs=args.epochs, seed=args.serve_seed, chaos=chaos,
         registry=registry)
     with time_phase("fleet_audit.run", registry):
@@ -1340,17 +1318,20 @@ def main(argv: list[str] | None = None) -> int:
                              "explicitly, the merged fleet trace of "
                              "'fleet-audit'")
     parser.add_argument("--tenants", type=int, default=4,
-                        help="tenants simulated by 'serve' (default 4)")
+                        help="tenants simulated by 'serve' and "
+                             "'fleet-audit' (default 4)")
     parser.add_argument("--epochs", type=int, default=2,
-                        help="epochs simulated by 'serve' (default 2)")
+                        help="epochs simulated by 'serve' and "
+                             "'fleet-audit' (default 2)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="virtual verifier workers for 'serve' "
-                             "(default 2)")
+                        help="virtual audit workers per verifier node "
+                             "for 'serve' and 'fleet-audit' (default 2)")
     parser.add_argument("--serve-seed", type=int, default=2014,
-                        help="service seed for 'serve' (default 2014)")
+                        help="service seed for 'serve' and "
+                             "'fleet-audit' (default 2014)")
     parser.add_argument("--nodes", type=int, default=4,
                         help="verifier nodes simulated by 'fleet-audit' "
-                             "(default 4)")
+                             "(default 4; 'serve' is one node)")
     parser.add_argument("--chaos", default=None, metavar="PLAN",
                         help="'fleet-audit' node-fault plan, e.g. "
                              "'crash:1@180,stall:2@90+500,slow:0@10x4' "

@@ -9,12 +9,14 @@ move virtual latencies, but never the flagged set or audit outcomes.
 import json
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AuditService, default_tenants
+from repro.service import FleetService, FleetTopology, default_tenants
 
 
-def _run(jobs=1, num_workers=2, seed=7):
-    service = AuditService(default_tenants(3, requests=4), epochs=2,
-                           seed=seed, num_workers=num_workers,
+def _run(jobs=1, workers_per_node=2, seed=7):
+    """One ``reproduce serve`` run: the verifier service on one node."""
+    topology = FleetTopology(num_nodes=1, workers_per_node=workers_per_node)
+    service = FleetService(default_tenants(3, requests=4),
+                           topology=topology, epochs=2, seed=seed,
                            registry=MetricsRegistry())
     return service.run(jobs=jobs)
 
@@ -32,8 +34,8 @@ def test_jobs_setting_never_changes_the_report():
 
 
 def test_worker_count_never_changes_a_verdict():
-    two = _run(num_workers=2)
-    four = _run(num_workers=4)
+    two = _run(workers_per_node=2)
+    four = _run(workers_per_node=4)
     assert two.flagged_tenants == four.flagged_tenants == ["tenant-01"]
     for tid in two.ledgers:
         a, b = two.ledgers[tid], four.ledgers[tid]

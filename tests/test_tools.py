@@ -146,7 +146,22 @@ class TestExitCodeContract:
         assert main(["runs", "list", "--store", str(tmp_path)]) == 0
         listing = capsys.readouterr().out
         assert match.group(1) in listing
-        assert "service" in listing
+        assert "fleet-audit" in listing
+
+    @staticmethod
+    def _tenant_table(out):
+        return [line for line in out.splitlines()
+                if re.match(r"^  tenant(-\d+)? ", line)]
+
+    def test_serve_is_a_one_node_fleet_audit(self, capsys):
+        flags = ["--tenants", "3", "--epochs", "1", "--requests", "4"]
+        serve_status = main(["serve"] + flags)
+        serve = self._tenant_table(capsys.readouterr().out)
+        fleet_status = main(["fleet-audit", "--nodes", "1"] + flags)
+        fleet = self._tenant_table(capsys.readouterr().out)
+        assert serve_status == fleet_status
+        assert len(serve) == 4 and serve[0].split()[-2:] == ["anom", "degr"]
+        assert serve == fleet
 
 
 class TestRunStoreCli:
