@@ -210,18 +210,23 @@ class ReplaySession(Session):
     def exhausted(self) -> bool:
         return self._cursor >= len(self.log.entries)
 
-    def packet_pending(self) -> bool:
-        """Can a packet-wait ever be satisfied from the log?
+    def pending_packet_instr(self) -> int | None:
+        """Instruction count of the logged PACKET a packet-wait will
+        receive, or None if the wait can never be satisfied.
 
         While the guest blocks inside a packet wait, nothing else can
         consume log entries — so if the next entry is not a PACKET, the
         wait is hopeless.  An honest log never ends up in that state (a
         wait that was satisfied during play is fronted by its packet
         entry); a damaged or tampered one can, and the replayed guest
-        must see "input ended" instead of polling forever.
+        must see "input ended" instead of polling forever.  Otherwise
+        the count is the replay-side horizon of the idle loop: no poll
+        before it can deliver.
         """
         entry = self._peek()
-        return entry is not None and entry.kind == EventKind.PACKET
+        if entry is None or entry.kind != EventKind.PACKET:
+            return None
+        return entry.instr_count
 
     def remaining_events(self) -> int:
         return len(self.log.entries) - self._cursor

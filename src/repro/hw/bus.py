@@ -70,11 +70,27 @@ class MemoryBus:
         """Superimpose a traffic burst (e.g. a packet DMA)."""
         self.set_traffic_level(self._traffic_level + amount)
 
-    def decay_traffic(self, factor: float = 0.5) -> None:
-        """Exponential decay of the traffic level between polls."""
-        self._traffic_level *= factor
-        if self._traffic_level < 1e-6:
-            self._traffic_level = 0.0
+    def decay_traffic(self, factor: float = 0.5, floor: float = 0.0,
+                      polls: int = 1) -> None:
+        """Exponential decay of the traffic level between polls, never
+        below the background ``floor``.
+
+        ``polls`` applies that many successive decays, stopping early
+        once the level reaches its fixed point (zero or the floor),
+        where further decays change nothing.
+        """
+        floor = min(1.0, max(0.0, floor))
+        level = self._traffic_level
+        for _ in range(polls):
+            decayed = level * factor
+            if decayed < 1e-6:
+                decayed = 0.0
+            if decayed < floor:
+                decayed = floor
+            if decayed == level:
+                break
+            level = decayed
+        self._traffic_level = level
 
     def transfer_penalty(self) -> int:
         """Extra cycles a TC DRAM transfer pays to cross the bus now."""

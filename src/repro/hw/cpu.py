@@ -201,9 +201,31 @@ class CpuModel:
         if self._until_redraw == 0:
             self._until_redraw = self.config.speculation_period
             self._recompute_noise()
+        return self._scaled(cycles)
+
+    def _scaled(self, cycles: int) -> int:
         if self._combined == 1.0:
             return cycles
         return max(1, round(cycles * self._combined))
+
+    @property
+    def blocks_before_redraw(self) -> int:
+        """How many more :meth:`scale_block` calls keep the current noise
+        factor (the next call after them redraws it)."""
+        return self._until_redraw - 1
+
+    def scale_blocks(self, cycles: int, count: int) -> int:
+        """``count`` consecutive :meth:`scale_block` calls, summed.
+
+        Exact only short of the next redraw point, so ``count`` must not
+        exceed :attr:`blocks_before_redraw`: every call then returns the
+        same scaled block and moves the same counters by one.
+        """
+        if not 0 <= count <= self._until_redraw - 1:
+            raise ValueError(f"{count} blocks cross the redraw point")
+        self._instructions += count
+        self._until_redraw -= count
+        return self._scaled(cycles) * count
 
     def base_cost(self, cost_class: CostClass) -> int:
         """Noise-free base cost (used by cost accounting and tests)."""

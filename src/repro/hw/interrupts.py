@@ -15,6 +15,7 @@ eliminated, exactly as Table 1 records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.determinism import SplitMix64, ZeroNoise
@@ -94,6 +95,17 @@ class InterruptController:
         if interval <= 0.0:
             return float("inf")
         return interval
+
+    def next_fire_cycle(self) -> int | None:
+        """The first cycle at which :meth:`pending_interference` fires an
+        IRQ; None when no source ever fires.
+
+        Fire times are floats compared against integer cycles, so the
+        horizon is their ceiling: ``t <= now`` exactly when
+        ``ceil(t) <= now``.
+        """
+        first = min(self._next_fire, default=math.inf)
+        return None if first == math.inf else math.ceil(first)
 
     def pending_interference(self, now_cycles: int) -> tuple[int, int, float]:
         """IRQ interference accrued up to ``now_cycles``.

@@ -40,6 +40,9 @@ from repro.vm.program import Program
 
 MODES = ("play", "replay", "naive-replay")
 
+#: Factor by which the SC's bus traffic decays per world service.
+_BUS_DECAY = 0.6
+
 
 @dataclass
 class ExecutionResult:
@@ -245,11 +248,49 @@ class Machine:
         """Workload hook: a packet reaches the NIC at ``cycle``."""
         self.nic.schedule_rx(cycle, payload)
 
-    def no_more_arrivals(self) -> bool:
-        """True when no input packet can ever appear again (play mode)."""
-        if self.st_buffer.pending or self.nic.pending_rx:
-            return False
-        return self.workload is None or self.workload.finished()
+    def input_queued(self) -> bool:
+        """Whether a packet is staged or on its way (play mode).
+
+        Arrivals are scheduled only by ``Workload.start`` and
+        ``Workload.on_transmit``, so for a guest blocked in a packet
+        wait — which cannot transmit — False means nothing will ever
+        arrive, whether or not the workload considers itself finished.
+        """
+        return bool(self.st_buffer.pending or self.nic.pending_rx)
+
+    def idle_horizon(self) -> int | None:
+        """The first cycle at which :meth:`service_world` does more than
+        decay bus traffic; None if no such cycle is scheduled.
+
+        The terms are the next packet staging (play: arrival plus the
+        SC's processing time), IRQ firing and preemption.  A co-tenant
+        interferes on every call, so with one the horizon is now.
+        """
+        config = self.config
+        if config.co_tenant_intensity > 0.0:
+            return self.clock.cycles
+        horizons = []
+        if self.is_play:
+            arrival = self.nic.next_arrival_cycle()
+            if arrival is not None:
+                horizons.append(arrival + config.sc_processing_cycles)
+        if config.irqs_enabled:
+            fire = self.irq_controller.next_fire_cycle()
+            if fire is not None:
+                horizons.append(fire)
+        if self._next_preempt is not None:
+            horizons.append(self._next_preempt)
+        return min(horizons, default=None)
+
+    def skip_quiet_services(self, count: int) -> None:
+        """Apply ``count`` :meth:`service_world` calls that all fall short
+        of :meth:`idle_horizon`.
+
+        Such a call only decays the bus traffic toward its floor, a pure
+        function of the level that the bus replays decay by decay.
+        """
+        self.bus.decay_traffic(_BUS_DECAY, self.config.background_bus_traffic,
+                               count)
 
     def service_world(self) -> None:
         """Advance the supporting core's world to the current time.
@@ -284,9 +325,7 @@ class Machine:
                     config.preempt_mean_interval_cycles)))
         if config.co_tenant_intensity > 0.0:
             self._co_tenant_interference(now)
-        self.bus.decay_traffic(0.6)
-        if self.bus.traffic_level < config.background_bus_traffic:
-            self.bus.set_traffic_level(config.background_bus_traffic)
+        self.bus.decay_traffic(_BUS_DECAY, config.background_bus_traffic)
 
     def _co_tenant_interference(self, now: int) -> None:
         """Cross-VM interference (§7 "Multi-tenancy").

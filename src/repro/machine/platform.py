@@ -12,7 +12,9 @@ Everything the paper's §3 describes comes together here:
   replay (§3.4-3.5);
 * the blocking-receive idle loop, which advances the instruction counter
   once per poll stride so arrivals are identifiable points (§3.2) and
-  which the *naive* replayer skips (§2.5);
+  which the *naive* replayer skips (§2.5).  With batching on, the quiet
+  polls up to the next observable event are charged in one exact step
+  instead of simulated one by one (idle fast-forward, DESIGN.md §4.5);
 * the native interface (I/O, ``nano_time``, ``covert_delay``).
 
 Batched cycle charging
@@ -483,11 +485,6 @@ class TimedCorePlatform(Platform):
             self.mem_access(base + i * _WORD)
         return count
 
-    def _input_exhausted(self) -> bool:
-        if self.machine.is_play:
-            return self.machine.no_more_arrivals()
-        return self.session.exhausted()
-
     # -- natives ----------------------------------------------------------------------
 
     def _native_print_int(self, vm: "Interpreter", args: list) -> None:
@@ -545,20 +542,27 @@ class TimedCorePlatform(Platform):
     def _native_wait_packet(self, vm: "Interpreter", args: list) -> int:
         stride = self.config.poll_stride_cycles
         session = self.session
+        machine = self.machine
+        tlb, l1 = self.tlb, self.hierarchy.l1
         while True:
+            tlb_hits, tlb_misses = tlb.hits, tlb.misses
+            l1_hits, l1_misses = l1.hits, l1.misses
             count = self._try_recv(vm, args[0])
             if count >= 0:
                 return count
-            if self._input_exhausted():
-                return -1
-            if (not self.machine.is_play
-                    and not session.packet_pending()):
-                # A damaged log can leave a non-PACKET entry at the
-                # cursor while the guest blocks for a packet; nothing
-                # can ever consume it, so the wait is hopeless and the
-                # guest must see end-of-input rather than spin to the
-                # instruction budget.
-                return -1
+            # A hopeless wait returns end-of-input rather than spin
+            # forever.  In play, a guest blocked here cannot transmit,
+            # so with nothing staged or queued nothing will ever
+            # arrive; in replay, a damaged log can leave a non-PACKET
+            # entry at the cursor that nothing can ever consume.
+            if machine.is_play:
+                if not machine.input_queued():
+                    return -1
+                packet_instr = None
+            else:
+                packet_instr = session.pending_packet_instr()
+                if packet_instr is None:
+                    return -1
             if session.skips_waits:
                 target = session.wait_target(vm.instruction_count)
                 if target is None:
@@ -571,8 +575,52 @@ class TimedCorePlatform(Platform):
                 continue
             # One poll iteration = one counted point in the execution.
             vm.instruction_count += 1
-            self.clock.advance(self.cpu.scale_block(stride), Source.IDLE)
-            self.machine.service_world()
+            scaled = self.cpu.scale_block(stride)
+            self.clock.advance(scaled, Source.IDLE)
+            if not self.batching:
+                machine.service_world()
+                continue
+            now = self.clock.cycles
+            horizon = machine.idle_horizon()
+            machine.service_world()
+            if tlb.misses == tlb_misses and l1.misses == l1_misses \
+                    and (horizon is None or now < horizon):
+                self._skip_quiet_polls(
+                    vm, tlb.hits - tlb_hits, l1.hits - l1_hits, scaled,
+                    stride, horizon, packet_instr)
+
+    def _skip_quiet_polls(self, vm: "Interpreter", tlb_hits: int,
+                          l1_hits: int, scaled: int, stride: int,
+                          horizon: int | None,
+                          packet_instr: int | None) -> None:
+        """Charge the next k polls of a wait in one exact step.
+
+        Called after a *quiet* poll: its S-T check hit the TLB and L1
+        and its world service fell short of the horizon, so the next
+        poll repeats exactly the same work.  k is the largest count
+        short of the CPU noise redraw, the world's horizon and, in
+        replay, the logged packet (DESIGN.md §4.5).
+        """
+        cpu = self.cpu
+        st_cycles = l1_hits * self.hierarchy.l1.config.hit_cycles
+        k = cpu.blocks_before_redraw
+        if horizon is not None:
+            k = min(k, (horizon - 1 - self.clock.cycles)
+                    // (st_cycles + scaled))
+        if packet_instr is not None:
+            k = min(k, packet_instr - vm.instruction_count)
+        if k <= 0:
+            return
+        vm.instruction_count += k
+        self.tlb.hits += k * tlb_hits
+        self.hierarchy.l1.hits += k * l1_hits
+        if st_cycles:
+            # The tag the batched flush would give the S-T hits.
+            self.clock.advance(k * st_cycles, Source.CACHE
+                               if self._ledger is not None
+                               else Source.INSTRUCTION)
+        self.clock.advance(cpu.scale_blocks(stride, k), Source.IDLE)
+        self.machine.skip_quiet_services(k)
 
     def _native_storage_read(self, vm: "Interpreter", args: list) -> int:
         from repro.determinism import mix64

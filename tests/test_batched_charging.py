@@ -128,6 +128,7 @@ def test_audit_verdicts_match_unbatched(nfs_program, monkeypatch):
 
 
 def test_no_batch_escape_hatch(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     for policy in (ReplacementPolicy.LRU, ReplacementPolicy.FIFO):
         machine = Machine(_config(policy), seed=0, mode="play")
         # Batched: the fast paths are bound as instance attributes, and
@@ -147,10 +148,11 @@ def test_no_batch_escape_hatch(monkeypatch):
         assert reference.platform.mem_inline() is None
 
 
-def test_no_ledger_charge_is_plain_accumulation():
+def test_no_ledger_charge_is_plain_accumulation(monkeypatch):
     """Without observability the charge path does no Source tagging:
     every cost lands in the single instruction slot of the accumulator,
     and flushing advances the clock by exactly that amount."""
+    monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     machine = Machine(MachineConfig(), seed=0, mode="play")
     platform = machine.platform
     assert platform._ledger is None

@@ -83,6 +83,21 @@ class TestMemoryBus:
         bus.decay_traffic(0.5)
         assert bus.traffic_level == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("floor", [0.0, 0.03, 0.5, 1.5])
+    @pytest.mark.parametrize("start", [0.0, 0.02, 0.7, 1.0])
+    def test_multi_poll_decay_equals_single_polls(self, start, floor):
+        """The idle fast-forward's k-poll decay must equal k single
+        decays bit for bit, early fixed-point exit included."""
+        for polls in (1, 2, 40, 63):
+            one_by_one = MemoryBus(BusConfig(), ZeroNoise())
+            batched = MemoryBus(BusConfig(), ZeroNoise())
+            one_by_one.set_traffic_level(start)
+            batched.set_traffic_level(start)
+            for _ in range(polls):
+                one_by_one.decay_traffic(0.6, floor)
+            batched.decay_traffic(0.6, floor, polls)
+            assert batched.traffic_level == one_by_one.traffic_level
+
     def test_zero_noise_never_stalls(self):
         bus = MemoryBus(BusConfig(contention_probability=0.9), ZeroNoise())
         bus.set_traffic_level(1.0)
@@ -273,6 +288,22 @@ class TestCpuModel:
         assert total(4) == total(4)
         assert total(4) != total(5)
 
+    def test_scale_blocks_equals_single_blocks(self):
+        """k summed blocks short of the redraw point are k scale_block
+        calls; crossing the redraw point is refused."""
+        cfg = CpuTimingConfig(turbo_enabled=True, speculation_period=16)
+        single, batched = (CpuModel(cfg, SplitMix64(5)) for _ in range(2))
+        for cpu in (single, batched):
+            cpu.scale_block(25_000)          # leaves 14 before the redraw
+        k = batched.blocks_before_redraw
+        assert k == 14
+        expected = sum(single.scale_block(25_000) for _ in range(k))
+        assert batched.scale_blocks(25_000, k) == expected
+        assert batched.instructions_costed == single.instructions_costed
+        assert batched.scale_block(25_000) == single.scale_block(25_000)
+        with pytest.raises(ValueError):
+            batched.scale_blocks(25_000, batched.blocks_before_redraw + 1)
+
     def test_config_validation(self):
         with pytest.raises(HardwareConfigError):
             CpuTimingConfig(freq_quantum=0)
@@ -307,6 +338,19 @@ class TestInterrupts:
                                  routed_to_timed_core=True)
         assert ic.pending_interference(10**12) == (0, 0, 0.0)
         assert ic.firings == 0
+
+    def test_next_fire_cycle_is_the_firing_horizon(self):
+        src = IrqSource("t", mean_interval_cycles=1000.0, handler_cycles=1)
+        ic = InterruptController([src], SplitMix64(7),
+                                 routed_to_timed_core=True)
+        horizon = ic.next_fire_cycle()
+        assert ic.pending_interference(horizon - 1)[0] == 0
+        assert ic.firings == 0
+        assert ic.pending_interference(horizon)[0] == 1
+        assert ic.firings == 1
+        never = InterruptController(standard_sources(), ZeroNoise(),
+                                    routed_to_timed_core=True)
+        assert never.next_fire_cycle() is None
 
     def test_monotonic_consumption(self):
         src = IrqSource("t", mean_interval_cycles=1000.0, handler_cycles=1)

@@ -154,3 +154,30 @@ class TestBusyCycles:
         a = play(program, config, seed=1)
         b = play(program, config, seed=2)
         assert a.total_cycles == b.total_cycles
+
+
+class TestHopelessWait:
+    def test_blocked_wait_with_client_awaiting_reply_returns(self):
+        """A guest that waits again without replying blocks while the
+        client still awaits its reply: nothing is staged or queued, and
+        a blocked guest cannot transmit, so no packet can ever arrive.
+        The wait must report end-of-input instead of spinning forever
+        (natives are atomic, so the instruction budget never fires)."""
+        source = """
+        void main() {
+            int[] buf = new int[16];
+            print_int(wait_packet(buf));
+            print_int(wait_packet(buf));
+            exit();
+        }
+        """
+        workload = InteractiveClient(
+            [Request(bytes([1, 2, 3])), Request(bytes([4]))], SplitMix64(5))
+        program = compile_app(source)
+        result = play(program, MachineConfig(), workload=workload,
+                      max_instructions=100_000)
+        assert result.console == [3, -1]
+        assert not workload.finished()
+        reference = replay(program, result.log, MachineConfig(), seed=9)
+        assert reference.console == result.console
+        assert reference.instructions == result.instructions
