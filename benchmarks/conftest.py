@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.stats import quartiles
 from repro.apps import build_kernel_program, build_nfs_program
 
 
@@ -36,3 +37,13 @@ def print_banner(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
+
+
+def report_pairs(label: str, ratios: list[float]) -> float:
+    """Print the median and quartiles of per-pair A/B ratios (from
+    :func:`repro.analysis.stats.paired_ratios`); return the median,
+    which is what every wall-clock gate judges its bar on."""
+    q1, median, q3 = quartiles(ratios)
+    print(f"  {label}: median {median:.3f} "
+          f"(quartiles {q1:.3f}..{q3:.3f}, {len(ratios)} pairs)")
+    return median

@@ -15,10 +15,8 @@ cache/memory partitioning brings it back under, at a capacity cost.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from conftest import print_banner
 
@@ -103,20 +101,6 @@ def _run_service(config: MachineConfig):
     return report, time.perf_counter() - start
 
 
-def _merge_perf(section: dict) -> Path:
-    """Read-modify-write ``BENCH_perf.json`` under one key.
-
-    ``test_perf_baseline.py`` owns the file and rewrites it whole; this
-    bench only folds its own section in, so either ordering of the two
-    benches leaves both sections intact.
-    """
-    out = Path(os.environ.get("BENCH_PERF_OUT", "BENCH_perf.json"))
-    report = json.loads(out.read_text()) if out.exists() else {}
-    report["service_multitenancy"] = section
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    return out
-
-
 def test_sec7_service_throughput(benchmark):
     """Verifier throughput under co-tenant cross-talk, service-level.
 
@@ -162,11 +146,6 @@ def test_sec7_service_throughput(benchmark):
         print(f"  {label:<26s} {row['segments_per_s']:>11.2f} "
               f"{row['audits_per_s']:>9.2f} {row['wall_s']:>6.2f}s  "
               f"{','.join(row['flagged']) or 'none'}")
-    out = _merge_perf({
-        "tenants": SERVICE_TENANTS, "epochs": SERVICE_EPOCHS,
-        "requests": SERVICE_REQUESTS, "smoke": SMOKE,
-        "configurations": rows})
-    print(f"  [merged service_multitenancy into {out}]")
 
     solo = rows["solo"]
     shared = rows["co-tenant"]

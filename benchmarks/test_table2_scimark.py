@@ -14,10 +14,10 @@ MC's 0.0305 is the lowest Oracle-JIT ratio).
 from __future__ import annotations
 
 import os
-import time
 
-from conftest import print_banner
+from conftest import print_banner, report_pairs
 
+from repro.analysis.stats import paired_ratios
 from repro.core.tdr import play
 from repro.machine.config import RuntimeKind
 from repro.machine.noise import scenario_config
@@ -80,7 +80,8 @@ def test_table2_scimark(benchmark, scimark_programs):
     assert results["mc"][2] == min(results[k][2] for k in KERNELS)
 
 
-TRIALS = 5
+#: Interleaved interpreted/compiled pairs per kernel (one play a sample).
+PAIRS = 9
 #: Host wall-clock bar for the simulator's own tier-up: trace-compiled
 #: Sanity must beat the pure interpreter by >= this factor ...
 SPEEDUP_BAR = 1.5
@@ -89,19 +90,9 @@ SPEEDUP_BAR = 1.5
 KERNELS_AT_BAR = 3
 
 
-def _best_of(fn, trials=TRIALS):
-    best = None
-    result = None
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
 def run_tierup(scimark_programs):
-    """Wall-clock host seconds per kernel, tier-up on vs ``REPRO_NO_JIT``.
+    """Per-kernel interpreted/compiled host-time ratios, one per pair of
+    interleaved plays under ``REPRO_NO_JIT`` and with the tier-up on.
 
     Measured on the noise-free Sanity variant (``speculation_sigma=0``),
     where the pre-summed block charge takes its provably-exact O(1) fast
@@ -114,19 +105,23 @@ def run_tierup(scimark_programs):
     rows = {}
     for name in KERNELS:
         program = scimark_programs[name]
-        os.environ["REPRO_NO_JIT"] = "1"
-        try:
-            interp_s, interp = _best_of(
-                lambda: play(program, config, seed=0))
-        finally:
-            os.environ.pop("REPRO_NO_JIT", None)
-        jit_s, jit = _best_of(lambda: play(program, config, seed=0))
-        assert jit.total_cycles == interp.total_cycles, name
-        assert jit.instructions == interp.instructions, name
-        rows[name] = {"interp_s": interp_s, "jit_s": jit_s,
-                      "speedup": interp_s / jit_s,
-                      "jit_coverage": (jit.jit["jit_instructions"]
-                                       / jit.instructions)}
+
+        def jit():
+            return play(program, config, seed=0)
+
+        def interp():
+            os.environ["REPRO_NO_JIT"] = "1"
+            try:
+                return jit()
+            finally:
+                os.environ.pop("REPRO_NO_JIT", None)
+
+        interp_result, jit_result = interp(), jit()  # warm-up
+        assert jit_result.total_cycles == interp_result.total_cycles, name
+        assert jit_result.instructions == interp_result.instructions, name
+        rows[name] = {"ratios": paired_ratios(interp, jit, PAIRS),
+                      "jit_coverage": (jit_result.jit["jit_instructions"]
+                                       / jit_result.instructions)}
     return rows
 
 
@@ -134,19 +129,18 @@ def test_table2_tierup_speedup(benchmark, scimark_programs):
     rows = benchmark.pedantic(run_tierup, args=(scimark_programs,),
                               rounds=1, iterations=1)
 
-    print_banner("Table 2 addendum — simulator host time, trace-compiled "
-                 f"vs interpreted Sanity (best of {TRIALS})")
-    print(f"  {'kernel':<8s} {'interp s':>10s} {'jit s':>10s} "
-          f"{'speedup':>9s} {'coverage':>9s}")
+    print_banner("Table 2 addendum — simulator host time, interpreted / "
+                 "trace-compiled Sanity")
+    speedups = {}
     for name in KERNELS:
         row = rows[name]
-        print(f"  {name.upper():<8s} {row['interp_s']:>10.4f} "
-              f"{row['jit_s']:>10.4f} {row['speedup']:>8.2f}x "
-              f"{row['jit_coverage']:>8.1%}")
+        speedups[name] = report_pairs(
+            f"{name.upper():<4s} ({row['jit_coverage']:.1%} compiled)",
+            row["ratios"])
 
-    at_bar = sum(row["speedup"] >= SPEEDUP_BAR for row in rows.values())
-    print(f"  >= {SPEEDUP_BAR}x on {at_bar}/{len(KERNELS)} kernels "
+    at_bar = sum(speedup >= SPEEDUP_BAR for speedup in speedups.values())
+    print(f"  median >= {SPEEDUP_BAR}x on {at_bar}/{len(KERNELS)} kernels "
           f"(bar: {KERNELS_AT_BAR})")
-    assert at_bar >= KERNELS_AT_BAR, rows
+    assert at_bar >= KERNELS_AT_BAR, speedups
     # Every kernel must at least not regress under the tier-up.
-    assert all(row["speedup"] > 0.9 for row in rows.values()), rows
+    assert all(speedup > 0.9 for speedup in speedups.values()), speedups

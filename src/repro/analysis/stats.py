@@ -1,13 +1,17 @@
 """Small, dependency-light statistics used across detectors and benches.
 
-Everything here is deterministic and pure; numpy is avoided on these hot
-paths because the inputs are short lists (per-trace IPDs) where numpy's
-conversion overhead dominates.
+Everything here is deterministic and pure, except :func:`paired_ratios`,
+which reads the host clock for the wall-clock benches; numpy is avoided
+on these hot paths because the inputs are short lists (per-trace IPDs)
+where numpy's conversion overhead dominates.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import time
+from collections.abc import Callable
 
 
 def mean(values: list[float]) -> float:
@@ -44,6 +48,36 @@ def percentile(values: list[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(25th, 50th, 75th)`` percentiles of ``values``."""
+    return (percentile(values, 25.0), percentile(values, 50.0),
+            percentile(values, 75.0))
+
+
+def paired_ratios(side_a: Callable[[], object], side_b: Callable[[], object],
+                  pairs: int,
+                  clock: Callable[[], float] = time.perf_counter
+                  ) -> list[float]:
+    """Host seconds of ``side_a`` over ``side_b``, one ratio per pair.
+
+    The sides run in alternating order (AB, BA, AB, ...), so a drift in
+    host speed during the measurement lands on both sides alike.  A full
+    garbage collection before each sample keeps one side's garbage from
+    being collected on the other side's clock.  Judge a bar on the
+    median of the ratios (:func:`quartiles`), not on any one of them.
+    """
+    ratios = []
+    for pair in range(pairs):
+        seconds = [0.0, 0.0]
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            gc.collect()
+            started = clock()
+            (side_a, side_b)[side]()
+            seconds[side] = clock() - started
+        ratios.append(seconds[0] / seconds[1])
+    return ratios
 
 
 def spread_percent(values: list[float]) -> float:

@@ -19,7 +19,6 @@ Usage::
     python -m repro.tools.reproduce profile --run latest --folded out.txt
     python -m repro.tools.reproduce runs list
     python -m repro.tools.reproduce report --latest 2 --out tdr-report.html
-    python -m repro.tools.reproduce bench-gate --advisory
 
 Each experiment is a quick, parameterizable version of the corresponding
 bench in ``benchmarks/`` (the benches add shape assertions and fixed
@@ -27,8 +26,7 @@ parameters; this tool is for exploration).  With ``--store [DIR]`` the
 store-aware experiments (``fig6``, ``trace``, ``chaos``, ``fleet``,
 ``serve``, ``audit``, ``exec``) persist their full evidence — ledgers, metrics,
 traces, verdicts — to a :class:`~repro.obs.runstore.RunStore`; the
-``runs`` / ``report`` / ``bench-gate`` subcommands list, re-render, and
-gate on those artifacts.
+``runs`` / ``report`` subcommands list and re-render those artifacts.
 
 Exit codes are part of the contract: every experiment returns a status,
 and the process exit is the *highest* status any selected experiment
@@ -50,9 +48,7 @@ code  meaning
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -991,81 +987,6 @@ def cmd_report(argv: list[str]) -> int:
     return 0
 
 
-def cmd_bench_gate(argv: list[str]) -> int:
-    """``reproduce bench-gate`` — fail on perf regressions vs history.
-
-    Compares a fresh ``BENCH_perf.json`` (the primary metric is
-    ``machine_run.batched.instr_per_sec``) against the median of the
-    ``bench`` runs already in the store, then records the fresh point.
-    With fewer than two history points the gate is always advisory.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro.tools.reproduce bench-gate",
-        description="Gate on BENCH_perf.json vs stored bench history.")
-    parser.add_argument("--perf", default="BENCH_perf.json",
-                        help="perf report to check "
-                             "(default BENCH_perf.json)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="run store root (default: REPRO_RUNSTORE "
-                             "or .repro-runs)")
-    parser.add_argument("--max-regression", type=float, default=15.0,
-                        metavar="PCT",
-                        help="largest tolerated instr/s drop vs the "
-                             "history median, percent (default 15)")
-    parser.add_argument("--advisory", action="store_true",
-                        help="report the verdict but never fail")
-    parser.add_argument("--no-record", action="store_true",
-                        help="do not add this measurement to history")
-    args = parser.parse_args(argv)
-    from repro.obs.runstore import RunRecord
-
-    perf_path = Path(args.perf)
-    if not perf_path.exists():
-        print(f"bench-gate: no perf report at {perf_path} "
-              f"(run benchmarks/test_perf_baseline.py first)",
-              file=sys.stderr)
-        return 2
-    perf = json.loads(perf_path.read_text())
-    try:
-        current = perf["machine_run"]["batched"]["instr_per_sec"]
-    except (KeyError, TypeError):
-        print(f"bench-gate: {perf_path} has no "
-              f"machine_run.batched.instr_per_sec (partial perf report — "
-              f"run benchmarks/test_perf_baseline.py)", file=sys.stderr)
-        return 2
-    store = _open_store(args.store)
-    history = [manifest["figures"]["perf"]["instr_per_sec"]
-               for manifest in store.list_runs(kind="bench")
-               if "perf" in manifest.get("figures", {})]
-    # Record after reading history, so a fresh point never gates itself.
-    if not args.no_record:
-        run_id = store.save(RunRecord(
-            kind="bench", label=f"{current:,} instr/s",
-            figures={"perf": {"instr_per_sec": current,
-                              "report": perf}}))
-        print(f"bench-gate: recorded {run_id} in {store.root}")
-    print(f"bench-gate: current {current:,} instr/s; "
-          f"{len(history)} history point(s)")
-    if len(history) < 2:
-        print("bench-gate: ADVISORY — gating starts once two history "
-              "points exist")
-        return 0
-    baseline = statistics.median(history)
-    drop = (baseline - current) / baseline * 100.0
-    print(f"bench-gate: history median {baseline:,.0f} instr/s; "
-          f"change {-drop:+.1f}%")
-    if drop > args.max_regression:
-        message = (f"bench-gate: REGRESSION {drop:.1f}% exceeds the "
-                   f"{args.max_regression:.1f}% budget")
-        if args.advisory:
-            print(message + " (advisory — not failing)")
-            return 0
-        print(message, file=sys.stderr)
-        return 1
-    print("bench-gate: PASS")
-    return 0
-
-
 def cmd_slo(argv: list[str]) -> int:
     """``reproduce slo SPEC`` — evaluate SLOs against a stored fleet run.
 
@@ -1278,7 +1199,6 @@ def cmd_profile(argv: list[str]) -> int:
 SUBCOMMANDS = {
     "runs": cmd_runs,
     "report": cmd_report,
-    "bench-gate": cmd_bench_gate,
     "slo": cmd_slo,
     "profile": cmd_profile,
 }

@@ -381,12 +381,12 @@ class Interpreter:
                     until_poll = poll_interval
                     # The opcode sampler piggybacks on the poll stride so
                     # its disabled cost stays off the per-instruction
-                    # path; the tier-up's hotness sampler rides the same
+                    # path; the tier-up's hotness counter rides the same
                     # branch.
                     if sampler is not None:
                         sampler.record(op, function.index, pc)
                     if jit is not None:
-                        jit.observe(function, pc, op)
+                        jit.observe(function)
                     self.instruction_count = icount
                     platform.on_quantum(self)
                     icount = self.instruction_count

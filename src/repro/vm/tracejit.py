@@ -1,8 +1,8 @@
 """Trace-compiling tier-up for the Sanity VM.
 
 The interpreter's dispatch loop costs tens of host operations per guest
-bytecode.  For hot code — detected by the opcode sampler that already
-piggybacks on the platform-poll branch — this module compiles
+bytecode.  For hot code — detected by per-function sample counts taken
+on the platform-poll branch — this module compiles
 straight-line bytecode regions into fused Python closures
 ("superinstructions"): one generated function executes the whole region,
 pre-sums the region's per-instruction cycle costs, and charges the
@@ -640,15 +640,10 @@ class TraceJit:
 
     def __init__(self, program: "Program", platform: "Platform",
                  config) -> None:
-        from repro.obs.sampling import OpcodeSampler
-
         self.program = program
         self.platform = platform
         self.hot_samples = max(1, getattr(config, "jit_hot_samples", 4))
         self.max_block = max(_MIN_BLOCK, getattr(config, "jit_max_block", 64))
-        #: The tier-up's own site sampler (independent of observability's,
-        #: which may be absent; fed from the same poll branch).
-        self.sampler = OpcodeSampler(stride=config.poll_interval)
         #: function index -> (pc -> CompiledBlock | None) | None.  The
         #: outer list's identity is stable: the interpreter aliases it
         #: once per run() call.
@@ -658,13 +653,12 @@ class TraceJit:
         self.compile_events = 0
         self.compiled_regions = 0
 
-    def observe(self, function: "Function", pc: int, op: int) -> None:
+    def observe(self, function: "Function") -> None:
         """One poll-branch sample; tiers the function up when it gets hot.
 
         Sampling is deterministic (poll points are fixed instruction
         counts), so compilation triggers at identical points across runs.
         """
-        self.sampler.record(op, function.index, pc)
         idx = function.index
         count = self._func_samples[idx] + 1
         self._func_samples[idx] = count
@@ -745,6 +739,6 @@ class TraceJit:
             "side_exits": sum(r["side_exits"] for r in regions),
             "jit_instructions": sum(r["instructions"] for r in regions),
             "jit_cycles": sum(r["cycles"] for r in regions),
-            "samples": self.sampler.samples,
+            "samples": sum(self._func_samples),
             "regions": regions,
         }

@@ -9,6 +9,7 @@ from repro.analysis import (auc_mann_whitney, cdf_points, correlation,
                             entropy_bits, equiprobable_bin_edges,
                             ks_distance, mean, percentile, quantize,
                             roc_points, spread_percent, stdev, variance)
+from repro.analysis.stats import paired_ratios, quartiles
 
 
 class TestBasicStats:
@@ -51,6 +52,37 @@ class TestBasicStats:
         assert correlation(xs, [5.0] * 4) == 0.0
         with pytest.raises(ValueError):
             correlation([1.0], [2.0, 3.0])
+
+
+class TestPairedRatios:
+    """The interleaved A/B helper every wall-clock bench gate uses."""
+
+    def test_sides_alternate_ab_ba(self):
+        log = []
+        paired_ratios(lambda: log.append("a"), lambda: log.append("b"),
+                      pairs=4, clock=lambda: 1.0 + len(log))
+        assert log == ["a", "b", "b", "a", "a", "b", "b", "a"]
+
+    def test_one_ratio_per_pair_of_a_over_b(self):
+        now = [0.0]
+
+        def side(seconds):
+            def run():
+                now[0] += seconds
+            return run
+
+        ratios = paired_ratios(side(3.0), side(1.5), pairs=5,
+                               clock=lambda: now[0])
+        # A over B in both orders.
+        assert ratios == [2.0] * 5
+        assert paired_ratios(side(1.0), side(1.0), pairs=0) == []
+
+    def test_median_and_quartiles(self):
+        assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+        assert quartiles([1.3, 0.9, 1.1, 1.0]) == \
+            pytest.approx((0.975, 1.05, 1.15))
+        with pytest.raises(ValueError):
+            quartiles([])
 
 
 class TestKsDistance:

@@ -23,6 +23,11 @@ class TestReproduceCli:
         assert main(["figZ"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_bench_gate_is_gone(self, capsys):
+        """Perf regressions are judged by ``perfbench/`` alone."""
+        assert main(["bench-gate"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
     def test_runs_small_experiment(self, capsys):
         assert main(["sec65", "--requests", "8"]) == 0
         out = capsys.readouterr().out
@@ -87,7 +92,6 @@ class TestReproduceCli:
         assert "Table 1: fully mitigated" in out
         assert "sampled opcode profile" in out
         assert out_file.exists()
-        import json
         trace = json.loads(out_file.read_text())
         events = trace["traceEvents"]
         assert isinstance(events, list) and events
@@ -261,61 +265,3 @@ class TestRunStoreCli:
     def test_report_without_refs(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path)]) == 2
         assert "needs run ids" in capsys.readouterr().err
-
-
-class TestBenchGateCli:
-    def _perf(self, tmp_path, value, name="perf.json"):
-        path = tmp_path / name
-        path.write_text(json.dumps(
-            {"machine_run": {"batched": {"instr_per_sec": value}}}))
-        return str(path)
-
-    def _seed_history(self, tmp_path):
-        """Two distinct historical points (identical records would
-        content-dedup into one)."""
-        for value in (1000.0, 1010.0):
-            assert main(["bench-gate",
-                         "--perf", self._perf(tmp_path, value),
-                         "--store", str(tmp_path)]) == 0
-
-    def test_missing_perf_report(self, tmp_path, capsys):
-        assert main(["bench-gate", "--perf", str(tmp_path / "no.json"),
-                     "--store", str(tmp_path)]) == 2
-        assert "no perf report" in capsys.readouterr().err
-
-    def test_advisory_until_two_history_points(self, tmp_path, capsys):
-        for value, history in ((1000.0, 0), (1010.0, 1)):
-            assert main(["bench-gate",
-                         "--perf", self._perf(tmp_path, value),
-                         "--store", str(tmp_path)]) == 0
-            out = capsys.readouterr().out
-            assert "ADVISORY" in out
-            assert f"{history} history point(s)" in out
-            assert "recorded bench-" in out
-
-    def test_regression_fails_the_gate(self, tmp_path, capsys):
-        self._seed_history(tmp_path)
-        capsys.readouterr()
-        assert main(["bench-gate",
-                     "--perf", self._perf(tmp_path, 500.0),
-                     "--store", str(tmp_path), "--no-record"]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "recorded" not in captured.out
-
-    def test_advisory_flag_never_fails(self, tmp_path, capsys):
-        self._seed_history(tmp_path)
-        assert main(["bench-gate",
-                     "--perf", self._perf(tmp_path, 500.0),
-                     "--store", str(tmp_path),
-                     "--advisory", "--no-record"]) == 0
-        assert "advisory — not failing" in capsys.readouterr().out
-
-    def test_improvement_passes(self, tmp_path, capsys):
-        self._seed_history(tmp_path)
-        assert main(["bench-gate",
-                     "--perf", self._perf(tmp_path, 1200.0),
-                     "--store", str(tmp_path), "--no-record"]) == 0
-        out = capsys.readouterr().out
-        assert "bench-gate: PASS" in out
-        assert "+" in out                       # change reported signed

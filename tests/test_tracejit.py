@@ -317,8 +317,10 @@ class TestUnits:
         from repro.vm.interpreter import Interpreter
 
         program = compile_app(RAZOR_SRC)
-        machine = Machine(MachineConfig(), seed=0, mode="play")
+        machine = Machine(MachineConfig(), seed=0, mode="play",
+                          obs=Observability(trace=False))
         vm = Interpreter(program, machine.platform, machine.vm_config())
+        machine.attach_observers(vm)
         vm.run(200_000_000)
         machine.platform.flush_charges()
         assert vm.jit is not None
@@ -331,13 +333,13 @@ class TestUnits:
             if block is not None and block.fallback is not None)
         assert fallback_entries > 0
 
-        export = vm.jit.sampler.export()
+        export = vm.sampler.export()
         assert export["sites"]
         # Serialize -> reload -> re-export: exact, through real JSON.
         reloaded = OpcodeSampler.from_export(
             json.loads(json.dumps(export)))
         assert reloaded.export() == export
-        assert reloaded.hot_sites(5) == vm.jit.sampler.hot_sites(5)
+        assert reloaded.hot_sites(5) == vm.sampler.hot_sites(5)
 
     def test_sampler_from_export_parses_fallback_mnemonics(self):
         """``OP_<code>`` names (unknown opcodes) and real mnemonics
