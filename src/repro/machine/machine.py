@@ -259,12 +259,13 @@ class Machine:
         return bool(self.st_buffer.pending or self.nic.pending_rx)
 
     def idle_horizon(self) -> int | None:
-        """The first cycle at which :meth:`service_world` does more than
-        decay bus traffic; None if no such cycle is scheduled.
+        """The first cycle at which :meth:`service_world` touches the
+        timed core; None if no such cycle is scheduled.
 
         The terms are the next packet staging (play: arrival plus the
-        SC's processing time), IRQ firing and preemption.  A co-tenant
-        interferes on every call, so with one the horizon is now.
+        SC's processing time), IRQ firing when IRQs are routed to the
+        timed core, and preemption.  A co-tenant interferes on every
+        call, so with one the horizon is now.
         """
         config = self.config
         if config.co_tenant_intensity > 0.0:
@@ -274,7 +275,7 @@ class Machine:
             arrival = self.nic.next_arrival_cycle()
             if arrival is not None:
                 horizons.append(arrival + config.sc_processing_cycles)
-        if config.irqs_enabled:
+        if self.irq_controller.routed_to_timed_core:
             fire = self.irq_controller.next_fire_cycle()
             if fire is not None:
                 horizons.append(fire)
@@ -282,9 +283,20 @@ class Machine:
             horizons.append(self._next_preempt)
         return min(horizons, default=None)
 
+    def supporting_irq_cycle(self) -> int | None:
+        """The first cycle at which :meth:`service_world` fires an IRQ
+        handled on the supporting core; None if none is scheduled.
+
+        Such a firing only adds bus traffic, so it bounds a run of
+        quiet services without touching the timed core.
+        """
+        if self.irq_controller.routed_to_timed_core:
+            return None
+        return self.irq_controller.next_fire_cycle()
+
     def skip_quiet_services(self, count: int) -> None:
         """Apply ``count`` :meth:`service_world` calls that all fall short
-        of :meth:`idle_horizon`.
+        of :meth:`idle_horizon` and :meth:`supporting_irq_cycle`.
 
         Such a call only decays the bus traffic toward its floor, a pure
         function of the level that the bus replays decay by decay.

@@ -13,8 +13,9 @@ Everything the paper's §3 describes comes together here:
 * the blocking-receive idle loop, which advances the instruction counter
   once per poll stride so arrivals are identifiable points (§3.2) and
   which the *naive* replayer skips (§2.5).  With batching on, the quiet
-  polls up to the next observable event are charged in one exact step
-  instead of simulated one by one (idle fast-forward, DESIGN.md §4.5);
+  polls between events that can touch the timed core are charged in
+  exact steps, one per CPU-noise redraw or supporting-core IRQ, instead
+  of simulated one by one (idle fast-forward, DESIGN.md §4.5);
 * the native interface (I/O, ``nano_time``, ``covert_delay``).
 
 Batched cycle charging
@@ -45,6 +46,7 @@ hand-written oracle the template is tested against.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from typing import TYPE_CHECKING
 
@@ -593,34 +595,76 @@ class TimedCorePlatform(Platform):
                           l1_hits: int, scaled: int, stride: int,
                           horizon: int | None,
                           packet_instr: int | None) -> None:
-        """Charge the next k polls of a wait in one exact step.
+        """Charge the quiet polls that follow a quiet poll of a wait.
 
         Called after a *quiet* poll: its S-T check hit the TLB and L1
-        and its world service fell short of the horizon, so the next
-        poll repeats exactly the same work.  k is the largest count
-        short of the CPU noise redraw, the world's horizon and, in
-        replay, the logged packet (DESIGN.md §4.5).
+        and its world service fell short of the timed-core horizon, so
+        the next poll repeats exactly the same work.  Each run of polls
+        at one noise factor, short of the horizon, the next
+        supporting-core IRQ and, in replay, the logged packet, is
+        charged in one exact step.  The poll that ends a run is charged
+        on its own: ``scale_block`` draws a redraw poll's new factor,
+        and a poll that reaches a supporting-core IRQ gets the real
+        world service, which only adds bus traffic.  Either way the
+        next poll is still quiet, so the skip goes on until the horizon
+        or the logged packet (DESIGN.md §4.5).
         """
-        cpu = self.cpu
-        st_cycles = l1_hits * self.hierarchy.l1.config.hit_cycles
-        k = cpu.blocks_before_redraw
-        if horizon is not None:
-            k = min(k, (horizon - 1 - self.clock.cycles)
-                    // (st_cycles + scaled))
-        if packet_instr is not None:
-            k = min(k, packet_instr - vm.instruction_count)
-        if k <= 0:
-            return
-        vm.instruction_count += k
-        self.tlb.hits += k * tlb_hits
-        self.hierarchy.l1.hits += k * l1_hits
-        if st_cycles:
-            # The tag the batched flush would give the S-T hits.
-            self.clock.advance(k * st_cycles, Source.CACHE
-                               if self._ledger is not None
-                               else Source.INSTRUCTION)
-        self.clock.advance(cpu.scale_blocks(stride, k), Source.IDLE)
-        self.machine.skip_quiet_services(k)
+        cpu, clock, machine = self.cpu, self.clock, self.machine
+        tlb, l1 = self.tlb, self.hierarchy.l1
+        st_cycles = l1_hits * l1.config.hit_cycles
+        # The tag the batched flush would give the S-T hits.
+        st_source = (Source.CACHE if self._ledger is not None
+                     else Source.INSTRUCTION)
+
+        def charge(polls: int, idle: int, quiet_services: int) -> None:
+            # Nothing reads the clock, the hit counters or the bus
+            # between world services, so polls are put on them at once.
+            tlb.hits += polls * tlb_hits
+            l1.hits += polls * l1_hits
+            if st_cycles:
+                clock.advance(polls * st_cycles, st_source)
+            clock.advance(idle, Source.IDLE)
+            machine.skip_quiet_services(quiet_services)
+
+        # Only an arrival or the logged packet ends a run of IRQ-only
+        # services; without either, the per-poll loop decides whether
+        # the wait is hopeless.
+        bounded = horizon is not None or packet_instr is not None
+        if horizon is None:
+            horizon = math.inf
+        now = clock.cycles
+        polls = idle = 0    # polls charged since the clock last moved
+        while True:
+            irq = machine.supporting_irq_cycle()
+            bound = horizon if irq is None else min(horizon, irq)
+            while True:
+                k = min(cpu.blocks_before_redraw,
+                        (bound - 1 - now) // (st_cycles + scaled))
+                if packet_instr is not None:
+                    k = min(k, packet_instr - vm.instruction_count)
+                if k > 0:
+                    vm.instruction_count += k
+                    polls += k
+                    idle += cpu.scale_blocks(stride, k)
+                    now += k * (st_cycles + scaled)
+                if not bounded or vm.instruction_count == packet_instr:
+                    if polls:
+                        charge(polls, idle, polls)
+                    return
+                # The next poll redraws the noise factor or reaches the
+                # bound.
+                vm.instruction_count += 1
+                polls += 1
+                scaled = cpu.scale_block(stride)
+                idle += scaled
+                now += st_cycles + scaled
+                if now >= bound:
+                    break
+            charge(polls, idle, polls - 1)
+            polls = idle = 0
+            machine.service_world()
+            if now >= horizon:
+                return
 
     def _native_storage_read(self, vm: "Interpreter", args: list) -> int:
         from repro.determinism import mix64

@@ -27,12 +27,13 @@ from repro.faults.plans import NodeChaosPlan
 from repro.machine import MachineConfig, ScriptedArrivals
 from repro.machine.machine import Machine
 from repro.machine.noise import NoiseScenario, scenario_config
+from repro.machine.platform import TimedCorePlatform
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.service import FleetService, FleetTopology, default_tenants
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 REQUESTS = 3
@@ -122,6 +123,22 @@ def test_co_tenant_matches_oracle(nfs_program, monkeypatch):
     assert fast.play.ledger["co-tenant"] > 0
 
 
+def test_supporting_irqs_under_cpu_noise_match_oracle(nfs_program,
+                                                     monkeypatch):
+    """No preset routes IRQs to the supporting core while preemption and
+    frequency scaling run: the skip then crosses IRQ services and
+    redraws that draw a new frequency factor, and stops at preemptions."""
+    config = dataclasses.replace(
+        MachineConfig(), irqs_to_supporting_core=True,
+        preemption_enabled=True, freq_scaling=True, turbo=True)
+    fast, reference = _against_oracle(
+        monkeypatch, lambda: _nfs_trip(nfs_program, config))
+    _assert_trips_match(fast, reference)
+    assert fast.play.ledger["preempt"] > 0
+    assert fast.play.stats["irq_firings"] > 0
+    assert "interrupt" not in fast.play.ledger
+
+
 def test_covert_schedule_matches_oracle(nfs_program, monkeypatch):
     schedule = [1_500_000, 0, 4_000_000]
     fast, reference = _against_oracle(
@@ -192,21 +209,25 @@ def _echo_play(program, arrivals, config, seed):
 
 def _poll_grid(program, config, seed):
     """Service cycles of every poll in an oracle run with one late
-    arrival, and which of them were noise-redraw polls."""
-    cycles, redraws = [], []
+    arrival, and which of them were noise-redraw polls and which fired
+    a (supporting-core) IRQ."""
+    cycles, redraws, irqs = [], [], []
     original = Machine.service_world
 
     def record(machine):
         cycles.append(machine.clock.cycles)
         redraws.append(machine.cpu.blocks_before_redraw
                        == machine.cpu.config.speculation_period - 1)
-        original(machine)
+        firings = machine.irq_controller.firings
+        result = original(machine)
+        irqs.append(machine.irq_controller.firings > firings)
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_NO_BATCH", "1")
         patch.setattr(Machine, "service_world", record)
-        _echo_play(program, [(6_000_000, b"x")], config, seed)
-    return cycles, redraws
+        _echo_play(program, [(60_000_000, b"x")], config, seed)
+    return cycles, redraws, irqs
 
 
 _GRID_CONFIG = dataclasses.replace(MachineConfig(), poll_stride_cycles=9_000)
@@ -223,24 +244,32 @@ def _grid(program, seed):
 def _boundary_schedules(draw):
     """Arrival schedules placed on the poll grid: each arrival becomes
     visible exactly at, one cycle before, or one cycle after a poll
-    (optionally the redraw poll), in bursts of same-cycle arrivals."""
+    (optionally a redraw poll, an IRQ poll, or a poll that is both), in
+    bursts of same-cycle arrivals."""
     seed = draw(st.integers(min_value=0, max_value=3))
     picks = draw(st.lists(st.tuples(
         st.integers(min_value=0, max_value=10_000),     # poll index
         st.sampled_from((-1, 0, 1)),                    # offset
         st.integers(min_value=1, max_value=3),          # burst size
-        st.booleans()),                                 # redraw poll
+        st.sampled_from(_POLL_KINDS)),                  # poll kind
         min_size=1, max_size=4))
     return seed, picks
 
 
+_POLL_KINDS = ("any", "redraw", "irq", "redraw+irq")
+
+
 def _schedule(grid, picks, sc_cycles):
-    cycles, redraws = grid
-    redraw_polls = [i for i, flag in enumerate(redraws) if flag]
+    cycles, redraws, irqs = grid
+    pools = {"any": range(len(cycles)),
+             "redraw": [i for i, flag in enumerate(redraws) if flag],
+             "irq": [i for i, flag in enumerate(irqs) if flag],
+             "redraw+irq": [i for i, (redraw, irq)
+                            in enumerate(zip(redraws, irqs))
+                            if redraw and irq]}
     arrivals = []
-    for index, offset, burst, on_redraw in picks:
-        pool = redraw_polls if on_redraw and redraw_polls \
-            else range(len(cycles))
+    for index, offset, burst, kind in picks:
+        pool = pools[kind] or pools["any"]
         poll = cycles[pool[index % len(pool)]]
         visible = max(0, poll + offset - sc_cycles)
         arrivals += [(visible, bytes([len(arrivals) % 256, burst]))
@@ -248,9 +277,19 @@ def _schedule(grid, picks, sc_cycles):
     return arrivals
 
 
+def test_grid_has_redraw_irq_polls(echo_program):
+    """The explicit examples below need seed 0's grid to hold a poll
+    that is both a redraw poll and an IRQ poll."""
+    _, redraws, irqs = _grid(echo_program, 0)
+    assert any(redraw and irq for redraw, irq in zip(redraws, irqs))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_boundary_schedules())
+@example((0, [(0, -1, 1, "redraw+irq")]))
+@example((0, [(0, 0, 2, "redraw+irq")]))
+@example((0, [(0, 1, 1, "redraw+irq"), (1, 0, 1, "irq")]))
 def test_arrivals_at_horizon_boundaries(echo_program, monkeypatch, case):
     seed, picks = case
     config = _GRID_CONFIG
@@ -283,7 +322,7 @@ def test_service_world_calls_drop_with_batching(nfs_program, monkeypatch):
 
     def counted(machine):
         calls.append(1)
-        original(machine)
+        return original(machine)
 
     monkeypatch.setattr(Machine, "service_world", counted)
 
@@ -296,3 +335,67 @@ def test_service_world_calls_drop_with_batching(nfs_program, monkeypatch):
 
     batched, per_poll = _against_oracle(monkeypatch, count)
     assert batched * 5 <= per_poll
+
+
+def test_full_polls_per_wait_do_not_grow(echo_program, monkeypatch):
+    """Full polls (``_try_recv`` calls) are O(timed-core events): a wait
+    for one packet simulates the same few polls however far out the
+    packet is, because the skip crosses every CPU-noise redraw and every
+    supporting-core IRQ on the way."""
+    calls = []
+    original = TimedCorePlatform._try_recv
+
+    def counted(platform, vm, buf_handle):
+        calls.append(1)
+        return original(platform, vm, buf_handle)
+
+    monkeypatch.setattr(TimedCorePlatform, "_try_recv", counted)
+    config = MachineConfig()
+    full_polls = []
+    for arrival in (40_000_000, 160_000_000):
+        def run():
+            calls.clear()
+            result = _echo_play(echo_program, [(arrival, b"x")], config,
+                                seed=5)
+            return len(calls), result
+
+        (batched, fast), (per_poll, reference) = _against_oracle(
+            monkeypatch, run)
+        assert _observables(fast) == _observables(reference)
+        # The wait crossed many redraws and IRQs (one redraw per 64
+        # polls).
+        assert per_poll > arrival // config.poll_stride_cycles
+        assert fast.stats["irq_firings"] >= 10
+        full_polls.append(batched)
+    assert full_polls[0] == full_polls[1] <= 4
+
+
+def test_world_services_see_the_oracle_bus(echo_program, monkeypatch):
+    """Every world service the skip runs for real sees the clock and the
+    bus traffic level that the per-poll loop gives that poll.  With
+    1M-cycle strides IRQs fire a few polls apart, so the bus never
+    settles at its fixed point between them and a quiet decay applied
+    after an IRQ's traffic instead of before it would show."""
+    config = dataclasses.replace(MachineConfig(),
+                                 poll_stride_cycles=1_000_000)
+    seen = []
+    original = Machine.service_world
+
+    def record(machine):
+        seen.append((machine.clock.cycles, machine.bus.traffic_level))
+        return original(machine)
+
+    monkeypatch.setattr(Machine, "service_world", record)
+
+    def run():
+        seen.clear()
+        result = _echo_play(echo_program, [(300_000_000, b"x")], config,
+                            seed=5)
+        return list(seen), result
+
+    (batched, fast), (per_poll, reference) = _against_oracle(monkeypatch,
+                                                             run)
+    assert _observables(fast) == _observables(reference)
+    assert set(batched) <= set(per_poll)
+    assert len(batched) * 2 < len(per_poll)
+    assert sum(level > 0.0 for _, level in batched) > 20
